@@ -8,6 +8,7 @@ from .states import (
     DEFAULT_TOL,
     ValidationError,
     eig_hermitian,
+    hermitian_part,
     projector,
     validate_density,
     validate_pure,
@@ -70,16 +71,21 @@ def _check_dims(rho, k_obs: ReferenceObservable) -> np.ndarray:
     return rho
 
 
+def populations(rho, k_obs: ReferenceObservable) -> np.ndarray:
+    """Outcome probabilities <k|rho|k>, which are the dephased state's spectrum."""
+    rho = _check_dims(rho, k_obs)
+    u = k_obs.columns
+    return np.einsum("ak,ab,bk->k", u.conj(), rho, u).real
+
+
 def dephase(rho, k_obs: ReferenceObservable) -> np.ndarray:
     """Unread measurement of the reference observable.
 
     Keeps the populations on the reference basis and kills every coherence
     between distinct basis states.
     """
-    rho = _check_dims(rho, k_obs)
     u = k_obs.columns
-    populations = np.einsum("ak,ab,bk->k", u.conj(), rho, u).real
-    return (u * populations) @ u.conj().T
+    return (u * populations(rho, k_obs)) @ u.conj().T
 
 
 def measure_select(rho, k_obs: ReferenceObservable, k: int) -> tuple[np.ndarray, float]:
@@ -153,15 +159,12 @@ class InformerModel:
         if g.shape != (n, n):
             raise ValidationError(
                 f"Gram matrix shape {g.shape} does not match {n} branches")
-        deviation = float(np.max(np.abs(g - g.conj().T)))
-        if deviation > tol:
-            raise ValidationError(
-                f"Gram matrix is not Hermitian: deviation {deviation:.3e} exceeds {tol:.1e}")
+        g = hermitian_part(g, tol, "Gram matrix")
         diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
         if diag_dev > tol:
             raise ValidationError(
                 f"Gram diagonal deviates from 1 by {diag_dev:.3e}, informer states must be normalized")
-        smallest = float(np.linalg.eigvalsh((g + g.conj().T) / 2.0).min())
+        smallest = float(np.linalg.eigvalsh(g).min())
         if smallest < -tol:
             raise ValidationError(
                 f"Gram matrix is not positive semidefinite: eigenvalue {smallest:.3e}")

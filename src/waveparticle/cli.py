@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import io, measures
-from .channels import ReferenceObservable, dephase
+# benchmarks/test_bench.py checks that its tracer rebinds cli.dephase
+from .channels import ReferenceObservable, dephase  # noqa: F401
 from .experiments import (
     ExperimentReport,
     MziConfig,
@@ -22,21 +24,6 @@ from .experiments import (
 from .nonlocality import chsh_nl, concurrence
 from .verify import run_checks
 
-EXPERIMENTS = ("mzi", "dce", "wave-detector", "measurement-model", "morphing")
-SWEEPABLE = {
-    "mzi": ("phi",),
-    "dce": ("bs2-alpha", "phi"),
-    "wave-detector": ("x",),
-    "morphing": ("eta",),
-    "measurement-model": (),
-}
-_PRINCIPAL_STATE = {
-    "mzi": "pre_detector",
-    "dce": "quanton",
-    "wave-detector": "input",
-    "measurement-model": "quanton",
-    "morphing": "quanton",
-}
 _AMP_NORM_TOL = 1e-4
 
 
@@ -54,35 +41,14 @@ def _amplitudes(args) -> np.ndarray:
     return amps / np.sqrt(norm_sq)
 
 
-def _run_experiment(name: str, args) -> ExperimentReport:
-    if name == "mzi":
-        return mzi_run(MziConfig(phi=args.phi, bs2=args.bs2))
-    if name == "dce":
-        if args.bs2_alpha is None:
-            raise ValueError("--bs2-alpha is required for dce")
-        return dce_analyze(args.bs2_alpha, args.phi)
-    if name == "wave-detector":
-        return wave_detector_run(WernerInput(args.x, _amplitudes(args)))
-    if name == "measurement-model":
-        if args.click is None:
-            return measurement_model(_amplitudes(args), "bob")
-        return measurement_model(_amplitudes(args), "alice", outcome=args.click)
-    if name == "morphing":
-        if args.eta is None:
-            raise ValueError("--eta is required for morphing")
-        return morphing_scan(_amplitudes(args), args.eta)
-    raise ValueError(f"unknown experiment {name!r}")
-
-
 def _extend_with_q(report: ExperimentReport, q: float | None) -> None:
     if q is None or min(abs(q - 1.0), abs(q - 2.0)) < 1e-12:
         return
-    state = report.states[_PRINCIPAL_STATE[report.name]]
-    dim = state.matrix.shape[0]
-    obs = ReferenceObservable.computational(dim)
+    rho = report.states[SCENARIOS[report.name].principal_state].matrix
+    split = measures.duality(rho, ReferenceObservable.computational(rho.shape[0]), q)
     report.scalars["q"] = float(q)
-    report.scalars["wavelike_q"] = measures.wavelike_info(state.matrix, obs, q)
-    report.scalars["particlelike_q"] = measures.particlelike_info(state.matrix, obs, q)
+    report.scalars["wavelike_q"] = split["wavelike"]
+    report.scalars["particlelike_q"] = split["particlelike"]
 
 
 def cmd_measures(args) -> int:
@@ -96,18 +62,12 @@ def cmd_measures(args) -> int:
             raise ValueError(f"basis dimension {obs.dim} does not match state dimension {dim}")
     q = 1.0 if args.q is None else float(args.q)
     rho = loaded.density
-    entropy = measures.tsallis_entropy(rho, q)
-    dephased_info = measures.information(dephase(rho, obs), q)
-    wavelike = measures.wavelike_info(rho, obs, q)
-    particlelike = measures.particlelike_info(rho, obs, q)
-    residual = abs(wavelike + particlelike - measures.max_entropy(dim, q))
+    split = measures.duality(rho, obs, q)
+    residual = abs(split["wavelike"] + split["particlelike"] - measures.max_entropy(dim, q))
     payload = {
         "q": q,
         "dims": [int(d) for d in loaded.dims],
-        "entropy": entropy,
-        "dephased_information": dephased_info,
-        "wavelike": wavelike,
-        "particlelike": particlelike,
+        **split,
         "complementarity_residual": residual,
     }
     if tuple(loaded.dims) == (2, 2):
@@ -120,14 +80,14 @@ def cmd_measures(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    report = _run_experiment(args.name, args)
+    report = SCENARIOS[args.name].run(args)
     _extend_with_q(report, args.q)
     sys.stdout.write(io.dumps(io.report_payload(report)))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    allowed = SWEEPABLE[args.name]
+    allowed = SCENARIOS[args.name].sweepable
     if args.param not in allowed:
         options = ", ".join(allowed) if allowed else "none"
         raise ValueError(f"cannot sweep {args.param!r} for {args.name}; options: {options}")
@@ -141,7 +101,7 @@ def cmd_sweep(args) -> int:
     rows: list[list[str]] = []
     for value in grid:
         setattr(args, field, float(value))
-        report = _run_experiment(args.name, args)
+        report = SCENARIOS[args.name].run(args)
         _extend_with_q(report, args.q)
         if not header:
             header = [args.param, *report.scalars.keys()]
@@ -175,6 +135,41 @@ def cmd_verify(args) -> int:
                 f"tolerance={io.format_float(r.tolerance)} ({r.detail})\n")
         sys.stdout.write(f"{sum(r.passed for r in results)}/{len(results)} checks passed\n")
     return 0 if all_passed else 1
+
+
+def _run_dce(args) -> ExperimentReport:
+    if args.bs2_alpha is None:
+        raise ValueError("--bs2-alpha is required for dce")
+    return dce_analyze(args.bs2_alpha, args.phi)
+
+
+def _run_morphing(args) -> ExperimentReport:
+    if args.eta is None:
+        raise ValueError("--eta is required for morphing")
+    return morphing_scan(_amplitudes(args), args.eta)
+
+
+class Scenario(NamedTuple):
+    """A runner from parsed flags, the flags sweep may vary, the state --q reads."""
+
+    run: Callable[[argparse.Namespace], ExperimentReport]
+    sweepable: tuple[str, ...]
+    principal_state: str
+
+
+SCENARIOS = {
+    "mzi": Scenario(lambda args: mzi_run(MziConfig(phi=args.phi, bs2=args.bs2)),
+                    ("phi",), "pre_detector"),
+    "dce": Scenario(_run_dce, ("bs2-alpha", "phi"), "quanton"),
+    "wave-detector": Scenario(
+        lambda args: wave_detector_run(WernerInput(args.x, _amplitudes(args))),
+        ("x",), "input"),
+    "measurement-model": Scenario(
+        lambda args: measurement_model(
+            _amplitudes(args), "bob" if args.click is None else "alice", outcome=args.click),
+        (), "quanton"),
+    "morphing": Scenario(_run_morphing, ("eta",), "quanton"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", parents=[common, flags],
                            help="run a named scenario")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
+    p_exp.add_argument("name", choices=SCENARIOS)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_sweep = sub.add_parser("sweep", parents=[common, flags],
                              help="sweep one parameter to CSV")
-    p_sweep.add_argument("name", choices=EXPERIMENTS)
+    p_sweep.add_argument("name", choices=SCENARIOS)
     p_sweep.add_argument("--param", required=True,
                          help="parameter to sweep (flag name without dashes)")
     p_sweep.add_argument("--start", type=float, required=True)

@@ -96,12 +96,9 @@ class ExperimentReport:
 
 
 def _dual_measures(rho: np.ndarray, obs: ReferenceObservable) -> dict[str, float]:
-    return {
-        "wavelike_q1": measures.wavelike_info(rho, obs, 1.0),
-        "particlelike_q1": measures.particlelike_info(rho, obs, 1.0),
-        "wavelike_q2": measures.wavelike_info(rho, obs, 2.0),
-        "particlelike_q2": measures.particlelike_info(rho, obs, 2.0),
-    }
+    one, two = (measures.duality(rho, obs, q) for q in (1.0, 2.0))
+    return {"wavelike_q1": one["wavelike"], "particlelike_q1": one["particlelike"],
+            "wavelike_q2": two["wavelike"], "particlelike_q2": two["particlelike"]}
 
 
 def mzi_run(config: MziConfig) -> ExperimentReport:
@@ -214,7 +211,7 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
     obs = path_basis(2)
     scalars: dict[str, float] = {}
     states: dict[str, ReportState] = {"input": ReportState((2,), rho_q)}
-    input_wavelike_q2 = measures.wavelike_info(rho_q, obs, 2.0)
+    duals = _dual_measures(rho_q, obs)
     activation_residual = 0.0
     for k in (0, 1):
         conditional, p = measure_select_joint(evolved, split, obs, k)
@@ -225,8 +222,8 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
         scalars[f"concurrence_click_{k}"] = concurrence(conditional)
         states[f"conditional_click_{k}"] = ReportState((2, 2), conditional)
         activation_residual = max(activation_residual,
-                                  abs(n_l - 2.0 * input_wavelike_q2))
-    scalars.update(_dual_measures(rho_q, obs))
+                                  abs(n_l - 2.0 * duals["wavelike_q2"]))
+    scalars.update(duals)
     scalars["nonlocality_activation_residual"] = activation_residual
     return ExperimentReport("wave-detector", scalars, states)
 

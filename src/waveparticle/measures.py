@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ReferenceObservable, dephase
-from .states import ValidationError, eig_hermitian
+from .channels import ReferenceObservable, dephase, populations
+from .states import ValidationError, eig_hermitian, hermitian_part
 
 VON_NEUMANN_Q_TOL = 1e-6
 FULL_RANK_TOL = 1e-12
@@ -20,11 +20,6 @@ def _check_q(q: float) -> float:
     if not q > 0:
         raise ValueError(f"entropy order must be positive, got {q}")
     return q
-
-
-def _spectrum(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
 
 
 def shannon(p) -> float:
@@ -50,7 +45,11 @@ def tsallis_entropy(rho, q: float = 1.0) -> float:
     below 1e-15 are dropped before the logarithm.
     """
     q = _check_q(q)
-    lam = np.clip(_spectrum(rho), 0.0, None)
+    return _spectral_entropy(np.linalg.eigvalsh(hermitian_part(rho, name="state")), q)
+
+
+def _spectral_entropy(lam: np.ndarray, q: float) -> float:
+    lam = np.clip(lam, 0.0, None)
     if abs(q - 1.0) < VON_NEUMANN_Q_TOL:
         lam = lam[lam > _LOG_FLOOR]
         value = float(-(lam * np.log(lam)).sum())
@@ -76,13 +75,31 @@ def information(rho, q: float = 1.0) -> float:
     return max(0.0, max_entropy(dim, q) - tsallis_entropy(rho, q))
 
 
+def duality(rho, k_obs: ReferenceObservable, q: float = 1.0) -> dict[str, float]:
+    """Entropy, dephased information and wave/particle split from one eigensolve.
+
+    The dephased spectrum is the population vector, summed in the ascending
+    order eigvalsh would return it in."""
+    q = _check_q(q)
+    rho = hermitian_part(rho, name="state")
+    entropy = _spectral_entropy(np.linalg.eigvalsh(rho), q)
+    dephased_entropy = _spectral_entropy(np.sort(populations(rho, k_obs)), q)
+    dephased_information = max(0.0, max_entropy(k_obs.dim, q) - dephased_entropy)
+    return {
+        "entropy": entropy,
+        "dephased_information": dephased_information,
+        "wavelike": max(0.0, dephased_entropy - entropy),
+        "particlelike": dephased_information + entropy,
+    }
+
+
 def wavelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
     """Entropy produced by an unread measurement of the reference observable.
 
     Vanishes exactly on states already diagonal in that basis; for q = 2 it
     equals the squared Hilbert-Schmidt distance to the dephased state.
     """
-    return max(0.0, tsallis_entropy(dephase(rho, k_obs), q) - tsallis_entropy(rho, q))
+    return duality(rho, k_obs, q)["wavelike"]
 
 
 def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
@@ -111,7 +128,7 @@ def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0) -> flo
 def particlelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
     """Information accessible from the dephased state plus the entanglement
     entropy a purification carries; complements wavelike_info exactly."""
-    return information(dephase(rho, k_obs), q) + tsallis_entropy(rho, q)
+    return duality(rho, k_obs, q)["particlelike"]
 
 
 @dataclass(frozen=True)

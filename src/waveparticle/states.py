@@ -84,49 +84,31 @@ def partial_trace(rho, split, keep: int) -> np.ndarray:
     raise ValueError("keep must be 0 (left factor) or 1 (right factor)")
 
 
-def _phase_fixed(col: np.ndarray) -> np.ndarray:
-    nonzero = np.flatnonzero(np.abs(col) > _PHASE_EPS)
-    if nonzero.size == 0:
-        return col
-    pivot = col[nonzero[0]]
-    return col * (abs(pivot) / pivot)
-
-
-def _descending_key(col: np.ndarray) -> tuple:
-    return tuple(part for z in col for part in (-z.real, -z.imag))
+def hermitian_part(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+    """Check max |M - M^H| against tol and return (M + M^H)/2."""
+    m = np.asarray(m, dtype=complex)
+    _require_square(m, name)
+    deviation = float(np.max(np.abs(m - m.conj().T)))
+    if deviation > tol:
+        raise ValidationError(
+            f"{name} is not Hermitian: max |M - M^H| = {deviation:.3e} exceeds {tol:.1e}")
+    return (m + m.conj().T) / 2.0
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian matrix.
 
-    Eigenvalues come out descending. Each eigenvector has its first
-    significant component made real and positive, and degenerate groups
-    are ordered lexicographically, so repeated runs agree bit for bit.
+    Eigenvalues come out descending, ties in eigh's order. Each eigenvector
+    has its first component above 1e-12 in modulus made real and positive,
+    so repeated runs agree bit for bit.
 
     Returns (eigenvalues, matrix of column eigenvectors).
     """
-    m = np.asarray(m, dtype=complex)
-    _require_square(m)
-    deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if deviation > tol:
-        raise ValidationError(
-            f"matrix is not Hermitian: max |M - M^H| = {deviation:.3e} exceeds {tol:.1e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    for j in range(v.shape[1]):
-        v[:, j] = _phase_fixed(v[:, j])
-    order = list(np.argsort(-w, kind="stable"))
-    gap = 1e-12 * max(1.0, float(np.max(np.abs(w))))
-    resolved: list[int] = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and w[order[i]] - w[order[j + 1]] <= gap:
-            j += 1
-        group = sorted(order[i:j + 1], key=lambda idx: _descending_key(v[:, idx]))
-        resolved.extend(group)
-        i = j + 1
-    idx = np.array(resolved)
-    return w[idx].copy(), v[:, idx].copy()
+    w, v = np.linalg.eigh(hermitian_part(m, tol))
+    pivot = v[np.argmax(np.abs(v) > _PHASE_EPS, axis=0), np.arange(v.shape[1])]
+    v = v * (np.abs(pivot) / pivot)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
 
 
 def hs_norm_sq(m) -> float:
@@ -156,12 +138,7 @@ def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     are then clipped to [0, 1] and the trace renormalized, which removes
     floating point dust without masking real violations.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _require_square(rho)
-    deviation = float(np.max(np.abs(rho - rho.conj().T)))
-    if deviation > tol:
-        raise ValidationError(
-            f"not Hermitian: max |M - M^H| = {deviation:.3e} exceeds {tol:.1e}")
+    rho = hermitian_part(rho, tol, "density matrix")
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > tol:
         raise ValidationError(f"trace = {trace:.12g} deviates from 1 beyond {tol:.1e}")

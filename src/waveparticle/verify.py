@@ -42,6 +42,11 @@ def _entropy_terms(probabilities) -> float:
     return float(sum(-p * np.log(p) for p in probabilities if p > 1e-15))
 
 
+def _entropies_q1_q2(matrix) -> dict[float, float]:
+    lam = np.clip(np.linalg.eigvalsh(matrix), 0.0, None)
+    return {1.0: _entropy_terms(lam), 2.0: float(1.0 - np.sum(lam ** 2))}
+
+
 def _qubit_pair(a: float) -> np.ndarray:
     return np.array([a, np.sqrt(max(0.0, 1.0 - a * a))], dtype=complex)
 
@@ -132,10 +137,12 @@ def check_complementarity() -> CheckResult:
         dim = 2 + (i % 7)
         rho = sampling.random_density(rng, dim)
         obs = sampling.random_basis(rng, dim)
+        before, after = _entropies_q1_q2(rho), _entropies_q1_q2(dephase(rho, obs))
         for q in (1.0, 2.0):
-            total = (measures.wavelike_info(rho, obs, q)
-                     + measures.particlelike_info(rho, obs, q))
-            residual = max(residual, abs(total - measures.max_entropy(dim, q)))
+            iw = measures.wavelike_info(rho, obs, q)
+            total = iw + measures.particlelike_info(rho, obs, q)
+            residual = max(residual, abs(total - measures.max_entropy(dim, q)),
+                           abs(iw - (after[q] - before[q])))
     return CheckResult("06_complementarity_equality", residual < 1e-10,
                        residual, 1e-10, "1000 random states, dims 2-8, q in {1,2}")
 

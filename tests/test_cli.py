@@ -157,6 +157,14 @@ class TestExperiment:
         assert code == 2
         assert "--eta" in err
 
+    @pytest.mark.parametrize("name,flag", [("dce", "--bs2-alpha"), ("morphing", "--eta")])
+    def test_required_flag_checked_before_amplitudes(self, capsys, name, flag):
+        # the amplitudes are not normalized, yet the missing flag is reported
+        code, _, err = run_cli(capsys, "experiment", name,
+                               "--amp-alpha-re", "0.9", "--amp-beta-re", "0.9")
+        assert code == 2
+        assert err == f"error: {flag} is required for {name}\n"
+
     def test_measurement_model_perspectives(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "measurement-model",
                                "--amp-alpha-re", "0.6", "--amp-beta-re", "0.8")
@@ -258,6 +266,24 @@ class TestSweep:
                                "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "cannot sweep" in err
+
+    @pytest.mark.parametrize("name,param", [
+        (name, param) for name, scenario in cli.SCENARIOS.items()
+        for param in scenario.sweepable])
+    def test_every_sweepable_parameter_sweeps(self, capsys, tmp_path, name, param):
+        code, out, err = run_cli(capsys, "sweep", name, "--param", param,
+                                 "--start", "0", "--stop", "1", "--steps", "2",
+                                 "--bs2-alpha", "0.5", "--eta", "0.5",
+                                 "--out", str(tmp_path / "x.csv"))
+        assert code == 0, err
+        assert "2 rows" in out
+
+    def test_measurement_model_sweeps_nothing(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "measurement-model", "--param", "x",
+                               "--start", "0", "--stop", "1", "--steps", "2",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "options: none" in err
 
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "mzi", "--param", "phi",

@@ -209,6 +209,40 @@ class TestThermal:
             measures.ThermalContext(temperature=-1.0)
 
 
+@pytest.mark.parametrize("measure", [
+    measures.tsallis_entropy,
+    lambda rho: measures.wavelike_info(rho, ReferenceObservable.computational(2)),
+    lambda rho: measures.particlelike_info(rho, ReferenceObservable.computational(2)),
+], ids=["tsallis_entropy", "wavelike_info", "particlelike_info"])
+def test_rejects_non_hermitian_input(measure):
+    with pytest.raises(ValidationError, match="Hermitian"):
+        measure(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_duality_matches_dephased_matrix_route(seed, dim, q):
+    rng = np.random.default_rng(seed)
+    rho = random_density(dim, rng)
+    for obs in (random_basis(dim, rng), ReferenceObservable.computational(dim)):
+        entropy = measures.tsallis_entropy(rho, q)
+        dephased = dephase(rho, obs)
+        dephased_information = measures.information(dephased, q)
+        expected = {
+            "entropy": entropy,
+            "dephased_information": dephased_information,
+            "wavelike": max(0.0, measures.tsallis_entropy(dephased, q) - entropy),
+            "particlelike": dephased_information + entropy,
+        }
+        split = measures.duality(rho, obs, q)
+        assert split.keys() == expected.keys()
+        for key, value in expected.items():
+            assert abs(split[key] - value) <= 1e-12
+    # the last basis is the computational one, where the match is bit for bit
+    assert split == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))

@@ -35,7 +35,7 @@ class ReferenceObservable:
             raise ValidationError(
                 f"basis must be a square matrix of column vectors, got shape {u.shape}")
         deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if deviation > tol:
+        if not deviation <= tol:
             raise ValidationError(
                 f"basis is not orthonormal: max |U^H U - 1| = {deviation:.3e} exceeds {tol:.1e}")
         self.columns = u

@@ -36,7 +36,7 @@ def _amplitudes(args) -> np.ndarray:
     amps = np.array([complex(filled[0], filled[1]),
                      complex(filled[2], filled[3])], dtype=complex)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm_sq - 1.0) > _AMP_NORM_TOL:
+    if not abs(norm_sq - 1.0) <= _AMP_NORM_TOL:
         raise ValueError(f"amplitudes are not normalized: |a|^2+|b|^2 = {norm_sq!r}")
     return amps / np.sqrt(norm_sq)
 

@@ -28,7 +28,19 @@ from .states import (
 
 BEAM_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
+_EYE2 = np.eye(2, dtype=complex)
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# dce_analyze: the output splitter acts when the control qubit is |1>.
+_CONTROLLED = (tensor(_EYE2, projector(basis_state(2, 0)))
+               + tensor(BEAM_SPLITTER, projector(basis_state(2, 1))))
+# wave_detector_run: register |00><00|, path k flips register qubit k, then
+# the quanton crosses the beam splitter.
+_REGISTER = projector(tensor(basis_state(2, 0), basis_state(2, 0)))
+_COUPLE = (tensor(projector(basis_state(2, 0)), tensor(_FLIP, _EYE2))
+           + tensor(projector(basis_state(2, 1)), tensor(_EYE2, _FLIP)))
+_MIX = tensor(BEAM_SPLITTER, np.eye(4, dtype=complex))
+for _constant in (_EYE2, _FLIP, _CONTROLLED, _REGISTER, _COUPLE, _MIX):
+    _constant.setflags(write=False)
 
 
 def phase_shifter(phi: float) -> np.ndarray:
@@ -55,9 +67,9 @@ def recombined_state(phi: float) -> np.ndarray:
 class MziConfig:
     """Interferometer configuration: relative phase and output splitter mode.
 
-    The phase is reduced modulo 2 pi at construction. The splitter mode is
-    'present', 'absent', or 'superposed'; the last needs bs2_alpha in
-    [0, pi/2] setting the amplitude on the acting branch.
+    The phase must be finite and is reduced modulo 2 pi at construction. The
+    splitter mode is 'present', 'absent', or 'superposed'; the last needs
+    bs2_alpha in [0, pi/2] setting the amplitude on the acting branch.
     """
 
     phi: float
@@ -67,7 +79,10 @@ class MziConfig:
     def __post_init__(self):
         if self.bs2 not in ("present", "absent", "superposed"):
             raise ValidationError(f"unknown bs2 mode {self.bs2!r}")
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
+        phi = float(self.phi)
+        if not np.isfinite(phi):
+            raise ValidationError(f"phase phi = {phi!r} is not finite")
+        object.__setattr__(self, "phi", phi % _TWO_PI)
         if self.bs2 == "superposed":
             if self.bs2_alpha is None:
                 raise ValidationError("bs2_alpha is required when bs2 is superposed")
@@ -144,11 +159,8 @@ def dce_analyze(bs2_alpha: float, phi: float) -> ExperimentReport:
     alpha = config.bs2_alpha
     control = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
     start = tensor(basis_state(2, 0), control)
-    inside = tensor(phase_shifter(config.phi) @ BEAM_SPLITTER, np.eye(2, dtype=complex))
-    acting = np.diag([0.0, 1.0]).astype(complex)
-    idle = np.diag([1.0, 0.0]).astype(complex)
-    controlled = tensor(np.eye(2, dtype=complex), idle) + tensor(BEAM_SPLITTER, acting)
-    joint = controlled @ (inside @ start)
+    inside = tensor(phase_shifter(config.phi) @ BEAM_SPLITTER, _EYE2)
+    joint = _CONTROLLED @ (inside @ start)
     split = BipartiteSplit(2, 2)
     rho_joint = projector(joint)
     rho_q = partial_trace(rho_joint, split, keep=0)
@@ -200,13 +212,9 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
     residual.
     """
     rho_q = werner.density()
-    register = projector(tensor(basis_state(2, 0), basis_state(2, 0)))
-    total = tensor(rho_q, register)
-    couple = (tensor(projector(basis_state(2, 0)), tensor(_FLIP, np.eye(2, dtype=complex)))
-              + tensor(projector(basis_state(2, 1)), tensor(np.eye(2, dtype=complex), _FLIP)))
-    mix = tensor(BEAM_SPLITTER, np.eye(4, dtype=complex))
-    evolved = couple @ total @ couple.conj().T
-    evolved = mix @ evolved @ mix.conj().T
+    total = tensor(rho_q, _REGISTER)
+    evolved = _COUPLE @ total @ _COUPLE.conj().T
+    evolved = _MIX @ evolved @ _MIX.conj().T
     split = BipartiteSplit(2, 4)
     obs = path_basis(2)
     scalars: dict[str, float] = {}

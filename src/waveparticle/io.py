@@ -82,9 +82,15 @@ def encode_matrix(m: np.ndarray) -> list:
     return [encode_vector(row) for row in np.asarray(m, dtype=complex)]
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _decode_pair(entry, field: str) -> complex:
+    # bool is an int subclass, but JSON true/false are not numbers
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-            or not all(isinstance(part, (int, float)) for part in entry)):
+            or not (isinstance(entry[0], (int, float)) and isinstance(entry[1], (int, float)))
+            or isinstance(entry[0], bool) or isinstance(entry[1], bool)):
         raise StateFormatError(field, f"expected a [re, im] pair, got {entry!r}")
     return complex(entry[0], entry[1])
 
@@ -115,7 +121,7 @@ def _parse_json(text: str, source: str):
 def _read_dims(payload, total: int) -> tuple[int, ...]:
     dims = payload.get("dims")
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(_is_positive_int(d) for d in dims)):
         raise StateFormatError("dims", "expected an array of positive integers")
     product = int(np.prod(dims))
     if product != total:
@@ -183,7 +189,7 @@ def parse_observable(text: str, source: str = "basis") -> ReferenceObservable:
     if not isinstance(payload, dict):
         raise StateFormatError("json", f"{source}: top level must be an object")
     dim = payload.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_positive_int(dim):
         raise StateFormatError("dim", "expected a positive integer")
     if "basis" not in payload:
         return ReferenceObservable.computational(dim)

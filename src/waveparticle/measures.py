@@ -17,8 +17,8 @@ BOLTZMANN_SI = 1.380649e-23
 
 def _check_q(q: float) -> float:
     q = float(q)
-    if not q > 0:
-        raise ValueError(f"entropy order must be positive, got {q}")
+    if not 0 < q < np.inf:
+        raise ValueError(f"entropy order must be positive and finite, got {q}")
     return q
 
 

@@ -85,11 +85,19 @@ def partial_trace(rho, split, keep: int) -> np.ndarray:
 
 
 def hermitian_part(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    """Check max |M - M^H| against tol and return (M + M^H)/2."""
+    """Check max |M - M^H| against tol and return (M + M^H)/2.
+
+    A NaN or infinite entry makes the deviation non-finite, so the same
+    check rejects non-finite matrices.
+    """
     m = np.asarray(m, dtype=complex)
     _require_square(m, name)
     deviation = float(np.max(np.abs(m - m.conj().T)))
-    if deviation > tol:
+    if not deviation <= tol:
+        if not np.isfinite(deviation):
+            bad = [tuple(int(i) for i in ij) for ij in np.argwhere(~np.isfinite(m))]
+            more = " ..." if len(bad) > 4 else ""
+            raise ValidationError(f"{name} has non-finite entries at {bad[:4]}{more}")
         raise ValidationError(
             f"{name} is not Hermitian: max |M - M^H| = {deviation:.3e} exceeds {tol:.1e}")
     return (m + m.conj().T) / 2.0
@@ -125,7 +133,7 @@ def validate_pure(psi, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValidationError(
             f"amplitude vector must be 1-d and nonempty, got shape {psi.shape}")
     norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) > tol:
+    if not abs(norm_sq - 1.0) <= tol:
         raise ValidationError(
             f"state norm^2 = {norm_sq!r} deviates from 1 beyond {tol:.1e}")
     return psi

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,21 @@ class TestMeasures:
         assert code == 2
         assert "amplitudes" in err
 
+    def test_non_finite_matrix_entry_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dims": [2], "matrix": [[[NaN, 0.0], [0.0, 0.0]],'
+                       ' [[0.0, 0.0], [0.5, 0.0]]]}', encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "measures", str(bad))
+        assert (code, out) == (2, "")
+        assert "non-finite" in err
+
+    def test_non_finite_order_rejected(self, capsys, balanced_state):
+        code, out, err = run_cli(capsys, "measures", balanced_state, "--q", "inf")
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "measures", "/no/such/file.json")
         assert code == 2
@@ -145,6 +161,18 @@ class TestExperiment:
                                "--amp-alpha-re", "0.9", "--amp-beta-re", "0.9")
         assert code == 2
         assert "normalized" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mzi", "--phi", "nan"),
+        ("dce", "--bs2-alpha", "0.5", "--phi", "inf"),
+        ("wave-detector", "--amp-alpha-re", "nan"),
+    ], ids=["mzi-nan-phi", "dce-inf-phi", "wave-detector-nan-amplitude"])
+    def test_non_finite_flags_rejected(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "experiment", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_morphing_orthogonal_informers(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "morphing", "--eta", "0")

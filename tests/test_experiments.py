@@ -65,6 +65,11 @@ class TestMziConfig:
         with pytest.raises(ValidationError):
             MziConfig(phi=0.0, bs2="sideways")
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_phase(self, phi):
+        with pytest.raises(ValidationError, match="not finite"):
+            MziConfig(phi=phi)
+
     def test_superposed_needs_alpha(self):
         with pytest.raises(ValidationError):
             MziConfig(phi=0.0, bs2="superposed")

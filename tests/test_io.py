@@ -105,6 +105,18 @@ class TestStateFiles:
             io.parse_state('{"dims": [2.0], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
         assert err.value.field == "dims"
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"dims": [2], "amplitudes": [[true, 0], [0, 0]]}', "amplitudes"),
+        ('{"dims": [true, 2], "amplitudes": [[1, 0], [0, 0]]}', "dims"),
+        ('{"dims": [2], "amplitudes": [[NaN, 0], [0, 0]]}', "amplitudes"),
+        ('{"dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', "matrix"),
+        ('{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[Infinity, 0], [0, 0]]]}', "matrix"),
+    ], ids=["bool-number", "bool-dim", "nan-amplitude", "nan-matrix", "inf-matrix"])
+    def test_mistyped_or_non_finite_numbers(self, text, field):
+        with pytest.raises(io.StateFormatError) as err:
+            io.parse_state(text)
+        assert err.value.field == field
+
     def test_unnormalized_amplitudes(self):
         with pytest.raises(io.StateFormatError) as err:
             io.parse_state('{"dims": [2], "amplitudes": [[0.9, 0.0], [0.0, 0.0]]}')
@@ -149,6 +161,17 @@ class TestObservableFiles:
         with pytest.raises(io.StateFormatError) as err:
             io.parse_observable('{"dim": 0}')
         assert err.value.field == "dim"
+
+    def test_boolean_dim(self):
+        with pytest.raises(io.StateFormatError) as err:
+            io.parse_observable('{"dim": true}')
+        assert err.value.field == "dim"
+
+    def test_non_finite_basis(self):
+        text = '{"dim": 2, "basis": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+        with pytest.raises(io.StateFormatError, match="orthonormal") as err:
+            io.parse_observable(text)
+        assert err.value.field == "basis"
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "obs.json"

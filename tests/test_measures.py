@@ -76,6 +76,11 @@ class TestTsallisEntropy:
         with pytest.raises(ValueError):
             measures.tsallis_entropy(np.eye(2) / 2, 0.0)
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf])
+    def test_rejects_non_finite_order(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            measures.tsallis_entropy(np.eye(2) / 2, q)
+
 
 class TestMaxEntropy:
     def test_von_neumann(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from waveparticle.nonlocality import (
+    PAULIS,
     SIGMA_Y,
     ChshSettings,
     chsh_bruteforce,
@@ -29,8 +30,8 @@ def bell_phi_plus():
             + tensor(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
 
 
-def random_two_qubit(rng=RNG):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+def random_two_qubit(rng=RNG, rank=4):
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -62,6 +63,36 @@ def test_correlation_matrix_product():
     rho = tensor(projector(basis_state(2, 0)), projector(basis_state(2, 0)))
     t = correlation_matrix(rho)
     np.testing.assert_allclose(t, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_correlation_matrix_matches_kron_oracle(rank):
+    rng = np.random.default_rng(700 + rank)
+    for _ in range(10):
+        rho = random_two_qubit(rng, rank)
+        oracle = np.array([[np.trace(rho @ np.kron(left, right)).real
+                            for right in PAULIS] for left in PAULIS])
+        np.testing.assert_allclose(correlation_matrix(rho), oracle, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_bruteforce_never_exceeds_closed_form(rank):
+    rng = np.random.default_rng(800 + rank)
+    for _ in range(10):
+        rho = random_two_qubit(rng, rank)
+        b_max, _ = chsh_nl(rho)
+        for restarts in (1, 32):
+            assert chsh_bruteforce(rho, restarts=restarts) <= b_max + 1e-9
+
+
+def test_bruteforce_returns_best_restart():
+    # after one sweep the restarts still disagree; the best of 32 is near the
+    # optimum, the worst is typically far below it
+    rng = np.random.default_rng(900)
+    for _ in range(20):
+        rho = random_two_qubit(rng)
+        b_max, _ = chsh_nl(rho)
+        assert chsh_bruteforce(rho, restarts=32, iterations=1) > b_max - 0.05
 
 
 def test_chsh_nl_bell_state():
@@ -118,6 +149,26 @@ def test_bruteforce_matches_closed_form():
 def test_bruteforce_is_deterministic():
     rho = random_two_qubit()
     assert chsh_bruteforce(rho, seed=5) == chsh_bruteforce(rho, seed=5)
+
+
+def _canonical_settings():
+    z = np.array([0.0, 0.0, 1.0])
+    x = np.array([1.0, 0.0, 0.0])
+    return ChshSettings(z, x, (z + x) / np.sqrt(2), (z - x) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("measure", [
+    correlation_matrix,
+    chsh_nl,
+    lambda rho: chsh_value(rho, _canonical_settings()),
+    chsh_bruteforce,
+    concurrence,
+], ids=["correlation_matrix", "chsh_nl", "chsh_value", "chsh_bruteforce", "concurrence"])
+def test_rejects_non_hermitian_two_qubit_input(measure):
+    bad = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    bad[0, 3] = 0.5
+    with pytest.raises(ValidationError, match="Hermitian"):
+        measure(bad)
 
 
 def test_bruteforce_input_validation():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from waveparticle.states import (
     ValidationError,
     basis_state,
     eig_hermitian,
+    hermitian_part,
     hs_norm_sq,
     partial_trace,
     projector,
@@ -124,6 +127,25 @@ def test_validate_pure():
     assert psi.dtype == complex
     with pytest.raises(ValidationError):
         validate_pure(psi * 1.001)
+
+
+# inf - inf on the diagonal warns before the check rejects the matrix
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.inf)])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_non_finite_matrix_rejected(value, entry):
+    bad = np.eye(2, dtype=complex) / 2
+    bad[entry] = value
+    for check in (hermitian_part, validate_density):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"non-finite entries at [{entry}]")):
+            check(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_pure_rejects_non_finite(value):
+    with pytest.raises(ValidationError, match="norm"):
+        validate_pure(np.array([value, 0.0]))
 
 
 def test_validate_density_accepts_valid():

@@ -63,19 +63,23 @@ class ReferenceObservable:
         return f"ReferenceObservable(dim={self.dim})"
 
 
-def _check_dims(rho, k_obs: ReferenceObservable) -> np.ndarray:
+def _check_dims(rho, k_obs: ReferenceObservable, stack: bool = False) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (k_obs.dim, k_obs.dim):
+    shape = rho.shape[-2:] if stack else rho.shape
+    if shape != (k_obs.dim, k_obs.dim):
         raise ValidationError(
             f"state shape {rho.shape} does not match observable dimension {k_obs.dim}")
     return rho
 
 
 def populations(rho, k_obs: ReferenceObservable) -> np.ndarray:
-    """Outcome probabilities <k|rho|k>, which are the dephased state's spectrum."""
-    rho = _check_dims(rho, k_obs)
+    """Outcome probabilities <k|rho|k>, which are the dephased state's spectrum.
+
+    A stack (..., d, d) of states gives a stack (..., d) of populations.
+    """
+    rho = _check_dims(rho, k_obs, stack=True)
     u = k_obs.columns
-    return np.einsum("ak,ab,bk->k", u.conj(), rho, u).real
+    return np.einsum("ak,...ab,bk->...k", u.conj(), rho, u).real
 
 
 def dephase(rho, k_obs: ReferenceObservable) -> np.ndarray:

@@ -45,7 +45,7 @@ def _extend_with_q(report: ExperimentReport, q: float | None) -> None:
     if q is None or min(abs(q - 1.0), abs(q - 2.0)) < 1e-12:
         return
     rho = report.states[SCENARIOS[report.name].principal_state].matrix
-    split = measures.duality(rho, ReferenceObservable.computational(rho.shape[0]), q)
+    split = measures.duality(rho, ReferenceObservable.computational(rho.shape[-1]), q)
     report.scalars["q"] = float(q)
     report.scalars["wavelike_q"] = split["wavelike"]
     report.scalars["particlelike_q"] = split["particlelike"]
@@ -87,29 +87,39 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    allowed = SCENARIOS[args.name].sweepable
-    if args.param not in allowed:
-        options = ", ".join(allowed) if allowed else "none"
+    scenario = SCENARIOS[args.name]
+    if args.param not in scenario.sweepable:
+        options = ", ".join(scenario.sweepable) if scenario.sweepable else "none"
         raise ValueError(f"cannot sweep {args.param!r} for {args.name}; options: {options}")
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
+    for flag, bound in (("--start", args.start), ("--stop", args.stop)):
+        if not np.isfinite(bound):
+            raise ValueError(f"{flag} must be finite, got {bound!r}")
     if not args.start <= args.stop:
         raise ValueError(f"start {args.start!r} exceeds stop {args.stop!r}")
     field = args.param.replace("-", "_")
     grid = np.linspace(args.start, args.stop, args.steps)
-    header: list[str] = []
-    rows: list[list[str]] = []
-    for value in grid:
-        setattr(args, field, float(value))
-        report = SCENARIOS[args.name].run(args)
-        _extend_with_q(report, args.q)
-        if not header:
-            header = [args.param, *report.scalars.keys()]
-        rows.append([io.format_float(value),
-                     *(io.format_float(v) for v in report.scalars.values())])
-    io.write_csv(args.out, header, rows)
+    if scenario.takes_arrays:
+        # One call evaluates the whole grid; a scalar such as q repeats down it.
+        scalars = _run_swept(args, field, grid)
+        table = zip(*np.broadcast_arrays(grid, *scalars.values()))
+    else:
+        table = []
+        for value in grid:
+            scalars = _run_swept(args, field, float(value))
+            table.append([value, *scalars.values()])
+    rows = [[io.format_float(v) for v in row] for row in table]
+    io.write_csv(args.out, [args.param, *scalars], rows)
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
     return 0
+
+
+def _run_swept(args, field: str, value) -> dict:
+    setattr(args, field, value)
+    report = SCENARIOS[args.name].run(args)
+    _extend_with_q(report, args.q)
+    return report.scalars
 
 
 def cmd_verify(args) -> int:
@@ -150,17 +160,19 @@ def _run_morphing(args) -> ExperimentReport:
 
 
 class Scenario(NamedTuple):
-    """A runner from parsed flags, the flags sweep may vary, the state --q reads."""
+    """A runner from parsed flags, the flags sweep may vary, the state --q reads,
+    and whether the runner takes the whole sweep grid as an array."""
 
     run: Callable[[argparse.Namespace], ExperimentReport]
     sweepable: tuple[str, ...]
     principal_state: str
+    takes_arrays: bool = False
 
 
 SCENARIOS = {
     "mzi": Scenario(lambda args: mzi_run(MziConfig(phi=args.phi, bs2=args.bs2)),
                     ("phi",), "pre_detector"),
-    "dce": Scenario(_run_dce, ("bs2-alpha", "phi"), "quanton"),
+    "dce": Scenario(_run_dce, ("bs2-alpha", "phi"), "quanton", takes_arrays=True),
     "wave-detector": Scenario(
         lambda args: wave_detector_run(WernerInput(args.x, _amplitudes(args))),
         ("x",), "input"),

@@ -19,6 +19,7 @@ from .nonlocality import chsh_nl, concurrence, linear_entanglement
 from .states import (
     BipartiteSplit,
     ValidationError,
+    _unstack,
     basis_state,
     partial_trace,
     projector,
@@ -43,9 +44,13 @@ for _constant in (_EYE2, _FLIP, _CONTROLLED, _REGISTER, _COUPLE, _MIX):
     _constant.setflags(write=False)
 
 
-def phase_shifter(phi: float) -> np.ndarray:
-    """Phase plate acting on arm 1 only."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1.0j * phi)]], dtype=complex)
+def phase_shifter(phi) -> np.ndarray:
+    """Phase plate acting on arm 1 only; an array of phases gives a stack."""
+    phi = np.asarray(phi, dtype=float)
+    plate = np.zeros((*phi.shape, 2, 2), dtype=complex)
+    plate[..., 0, 0] = 1.0
+    plate[..., 1, 1] = np.exp(1.0j * phi)
+    return plate
 
 
 def path_basis(dim: int = 2) -> ReferenceObservable:
@@ -61,6 +66,24 @@ def balanced_path_state(phi: float) -> np.ndarray:
 def recombined_state(phi: float) -> np.ndarray:
     """Output state after the second splitter: cos(phi/2)|1> - sin(phi/2)|0>."""
     return np.array([-np.sin(phi / 2.0), np.cos(phi / 2.0)], dtype=complex)
+
+
+def _checked_phase(phi) -> np.ndarray:
+    """Finite phases reduced modulo 2 pi; the first non-finite one is named."""
+    phi = np.asarray(phi, dtype=float)
+    bad = ~np.isfinite(phi)
+    if bad.any():
+        raise ValidationError(f"phase phi = {float(phi[bad][0])!r} is not finite")
+    return phi % _TWO_PI
+
+
+def _checked_splitter_angle(alpha) -> np.ndarray:
+    """Splitter angles in [0, pi/2]; the first one outside is named."""
+    alpha = np.asarray(alpha, dtype=float)
+    bad = ~((0.0 <= alpha) & (alpha <= np.pi / 2.0 + 1e-12))
+    if bad.any():
+        raise ValidationError(f"bs2_alpha = {float(alpha[bad][0])!r} outside [0, pi/2]")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -79,16 +102,11 @@ class MziConfig:
     def __post_init__(self):
         if self.bs2 not in ("present", "absent", "superposed"):
             raise ValidationError(f"unknown bs2 mode {self.bs2!r}")
-        phi = float(self.phi)
-        if not np.isfinite(phi):
-            raise ValidationError(f"phase phi = {phi!r} is not finite")
-        object.__setattr__(self, "phi", phi % _TWO_PI)
+        object.__setattr__(self, "phi", float(_checked_phase(float(self.phi))))
         if self.bs2 == "superposed":
             if self.bs2_alpha is None:
                 raise ValidationError("bs2_alpha is required when bs2 is superposed")
-            alpha = float(self.bs2_alpha)
-            if not 0.0 <= alpha <= np.pi / 2.0 + 1e-12:
-                raise ValidationError(f"bs2_alpha = {alpha!r} outside [0, pi/2]")
+            alpha = float(_checked_splitter_angle(float(self.bs2_alpha)))
             object.__setattr__(self, "bs2_alpha", alpha)
         elif self.bs2_alpha is not None:
             raise ValidationError("bs2_alpha is only meaningful for the superposed mode")
@@ -147,27 +165,32 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
     return ExperimentReport("mzi", scalars, states)
 
 
-def dce_analyze(bs2_alpha: float, phi: float) -> ExperimentReport:
+def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     """Interferometer whose output splitter is controlled by a qubit.
 
     The control decides whether the splitter acts ('in') or not ('out'); the
     joint pure state is produced by the controlled circuit, the control is
     traced out, and the wave/particle measures of the remaining quanton state
     are reported together with the entanglement of the pair.
+
+    Either argument may be an array of grid values, broadcast against the
+    other; the scalars are then arrays over the grid and the states stacks
+    (..., d, d). A failed check names the first offending grid value, or the
+    index of the first offending state.
     """
-    config = MziConfig(phi=phi, bs2="superposed", bs2_alpha=bs2_alpha)
-    alpha = config.bs2_alpha
-    control = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
+    phase = _checked_phase(phi)
+    alpha = _checked_splitter_angle(bs2_alpha)
+    control = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1).astype(complex)
     start = tensor(basis_state(2, 0), control)
-    inside = tensor(phase_shifter(config.phi) @ BEAM_SPLITTER, _EYE2)
-    joint = _CONTROLLED @ (inside @ start)
+    inside = tensor(phase_shifter(phase) @ BEAM_SPLITTER, _EYE2)
+    joint = (_CONTROLLED @ (inside @ start[..., None]))[..., 0]
     split = BipartiteSplit(2, 2)
     rho_joint = projector(joint)
     rho_q = partial_trace(rho_joint, split, keep=0)
     obs = path_basis(2)
     scalars = {
-        "p_detector_0": float(rho_q[0, 0].real),
-        "p_detector_1": float(rho_q[1, 1].real),
+        "p_detector_0": _unstack(rho_q[..., 0, 0].real),
+        "p_detector_1": _unstack(rho_q[..., 1, 1].real),
         **_dual_measures(rho_q, obs),
         "entanglement_linear": linear_entanglement(joint, split),
         "entanglement_entropy": measures.tsallis_entropy(rho_q, 1.0),

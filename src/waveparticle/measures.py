@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ReferenceObservable, dephase, populations
-from .states import ValidationError, eig_hermitian, hermitian_part
+from .states import ValidationError, _clamp, _unstack, eig_hermitian, hermitian_part
 
 VON_NEUMANN_Q_TOL = 1e-6
 FULL_RANK_TOL = 1e-12
@@ -38,24 +38,37 @@ def shannon(p) -> float:
     return max(0.0, float(-(positive * np.log(positive)).sum()))
 
 
-def tsallis_entropy(rho, q: float = 1.0) -> float:
+def tsallis_entropy(rho, q: float = 1.0):
     """Entropy of order q: (1 - Tr rho^q)/(q - 1), von Neumann as q -> 1.
 
     Orders within 1e-6 of 1 take the explicit von Neumann branch; eigenvalues
-    below 1e-15 are dropped before the logarithm.
+    below 1e-15 are dropped before the logarithm. A float for one matrix, an
+    array for a stack (..., d, d).
     """
     q = _check_q(q)
-    return _spectral_entropy(np.linalg.eigvalsh(hermitian_part(rho, name="state")), q)
+    lam = np.linalg.eigvalsh(hermitian_part(rho, name="state"))
+    return _unstack(_spectral_entropy(lam, q))
 
 
-def _spectral_entropy(lam: np.ndarray, q: float) -> float:
-    lam = np.clip(lam, 0.0, None)
+def _spectral_entropy(lam: np.ndarray, q: float) -> np.ndarray:
+    """Entropy of each ascending spectrum along the last axis of lam."""
+    lam = np.maximum(lam, 0.0)
     if abs(q - 1.0) < VON_NEUMANN_Q_TOL:
-        lam = lam[lam > _LOG_FLOOR]
-        value = float(-(lam * np.log(lam)).sum())
+        # The dropped eigenvalues are a prefix of each ascending spectrum. Rows
+        # dropping the same number are summed together, so each row is summed
+        # exactly as its kept suffix alone would be, bit for bit at any size.
+        rows = lam.reshape(-1, lam.shape[-1])
+        dropped = (rows <= _LOG_FLOOR).sum(axis=1)
+        starts = set(dropped.tolist())
+        value = np.empty(len(rows))
+        for start in starts:
+            group = dropped == start if len(starts) > 1 else slice(None)
+            tail = rows[group, start:]
+            value[group] = -(tail * np.log(tail)).sum(axis=1)
+        value = value.reshape(lam.shape[:-1])
     else:
-        value = float((1.0 - (lam ** q).sum()) / (q - 1.0))
-    return max(0.0, value)
+        value = (1.0 - (lam ** q).sum(axis=-1)) / (q - 1.0)
+    return _clamp(value)
 
 
 def max_entropy(dim: int, q: float = 1.0) -> float:
@@ -75,22 +88,25 @@ def information(rho, q: float = 1.0) -> float:
     return max(0.0, max_entropy(dim, q) - tsallis_entropy(rho, q))
 
 
-def duality(rho, k_obs: ReferenceObservable, q: float = 1.0) -> dict[str, float]:
+def duality(rho, k_obs: ReferenceObservable, q: float = 1.0) -> dict:
     """Entropy, dephased information and wave/particle split from one eigensolve.
 
     The dephased spectrum is the population vector, summed in the ascending
-    order eigvalsh would return it in."""
+    order eigvalsh would return it in. rho may be a stack (..., d, d): each
+    value is then an array over the stack instead of a float."""
     q = _check_q(q)
     rho = hermitian_part(rho, name="state")
-    entropy = _spectral_entropy(np.linalg.eigvalsh(rho), q)
-    dephased_entropy = _spectral_entropy(np.sort(populations(rho, k_obs)), q)
-    dephased_information = max(0.0, max_entropy(k_obs.dim, q) - dephased_entropy)
-    return {
+    spectra = np.array([np.linalg.eigvalsh(rho), np.sort(populations(rho, k_obs))])
+    entropy, dephased_entropy = _spectral_entropy(spectra, q)
+    dephased_information, wavelike = _clamp(np.array([
+        max_entropy(k_obs.dim, q) - dephased_entropy, dephased_entropy - entropy]))
+    split = {
         "entropy": entropy,
         "dephased_information": dephased_information,
-        "wavelike": max(0.0, dephased_entropy - entropy),
+        "wavelike": wavelike,
         "particlelike": dephased_information + entropy,
     }
+    return {key: _unstack(value) for key, value in split.items()}
 
 
 def wavelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:

@@ -6,6 +6,9 @@ import numpy as np
 
 from .states import (
     ValidationError,
+    _check_unit_norm,
+    _clamp,
+    _unstack,
     eig_hermitian,
     hermitian_part,
     hs_norm_sq,
@@ -153,12 +156,17 @@ def concurrence(rho) -> float:
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 
 
-def linear_entanglement(psi, split) -> float:
-    """Linear entropy 1 - Tr(rho_A^2) of one marginal of a pure bipartite state."""
-    psi = validate_pure(psi)
+def linear_entanglement(psi, split):
+    """Linear entropy 1 - Tr(rho_A^2) of one marginal of a pure bipartite state.
+
+    A float for one state; a stack (..., d) of states gives an array, and the
+    first of them that is not normalized is named by its index.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    psi = validate_pure(psi) if psi.ndim <= 1 else _check_unit_norm(psi)
     dim_a, dim_b = int(split[0]), int(split[1])
-    if psi.size != dim_a * dim_b:
+    if psi.shape[-1] != dim_a * dim_b:
         raise ValidationError(
-            f"split {dim_a}x{dim_b} does not factor dimension {psi.size}")
+            f"split {dim_a}x{dim_b} does not factor dimension {psi.shape[-1]}")
     reduced = partial_trace(projector(psi), (dim_a, dim_b), keep=0)
-    return max(0.0, 1.0 - hs_norm_sq(reduced))
+    return _unstack(_clamp(1.0 - hs_norm_sq(reduced)))

@@ -250,6 +250,65 @@ class TestSweep:
             expected = 0.5 * (1 - np.cos(alpha) ** 4)
             assert float(row["particlelike_q2"]) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("q", [None, "1.5"])
+    @pytest.mark.parametrize("param,stop,fixed", [
+        ("phi", 2 * np.pi, ("--bs2-alpha", "0.9")),
+        ("bs2-alpha", np.pi / 2, ("--phi", "2.2")),
+    ])
+    def test_dce_grid_sweep_matches_closed_forms(self, capsys, tmp_path, param, stop, fixed, q):
+        out_path = tmp_path / "dce.csv"
+        argv = ["sweep", "dce", "--param", param, "--start", "0", "--stop", repr(stop),
+                "--steps", "41", *fixed, "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv, *(["--q", q] if q else []))
+        assert (code, out) == (0, f"wrote 41 rows to {out_path}\n"), err
+        text = out_path.read_text(encoding="utf-8")
+        assert "-0.0000000000000000e+00" not in text
+        rows = list(csv.DictReader(text.splitlines()))
+        assert len(rows) == 41
+        for row in rows:
+            alpha = float(row.get("bs2-alpha", 0.9))
+            phi = float(row.get("phi", 2.2))
+            linear = 0.25 * np.sin(2 * alpha) ** 2 * np.cos(phi) ** 2
+            top = (1 + np.sqrt(1 - 2 * linear)) / 2
+            expected = {
+                "p_detector_0": np.cos(alpha) ** 2 / 2 + np.sin(alpha) ** 2 * np.sin(phi / 2) ** 2,
+                "particlelike_q2": 0.5 * (1 - np.cos(alpha) ** 4) * np.cos(phi) ** 2,
+                "entanglement_linear": linear,
+                "entanglement_entropy": -sum(p * np.log(p) for p in (top, 1 - top) if p > 0),
+            }
+            for key, value in expected.items():
+                assert float(row[key]) == pytest.approx(value, abs=1e-12), key
+            pairs = [("p_detector_0", "p_detector_1", 1.0),
+                     ("wavelike_q1", "particlelike_q1", np.log(2)),
+                     ("wavelike_q2", "particlelike_q2", 0.5)]
+            if q:
+                assert float(row["q"]) == 1.5
+                pairs.append(("wavelike_q", "particlelike_q", (1 - 2 ** -0.5) / 0.5))
+            for left, right, total in pairs:
+                assert float(row[left]) + float(row[right]) == pytest.approx(total, abs=1e-12)
+
+    def test_dce_grid_names_first_bad_alpha_and_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "dce", "--param", "bs2-alpha",
+                                 "--start", "0", "--stop", "2", "--steps", "5",
+                                 "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == "error: bs2_alpha = 2.0 outside [0, pi/2]\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--start", "--stop"])
+    def test_non_finite_bounds_rejected(self, capsys, tmp_path, flag, value):
+        bounds = {"--start": "0", "--stop": "1", flag: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "mzi", "--param", "phi",
+                                     *(part for pair in bounds.items() for part in pair),
+                                     "--steps", "3", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_mzi_phi_sweep_detector_column(self, capsys, tmp_path):
         out_path = tmp_path / "mzi.csv"
         code, _, _ = run_cli(capsys, "sweep", "mzi", "--param", "phi",

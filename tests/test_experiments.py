@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,31 @@ class TestDelayedChoice:
         # cos(phi) = 0 kills the particlelike part even at alpha = pi/2
         s = dce_analyze(np.pi / 2, np.pi / 2).scalars
         assert s["particlelike_q2"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("swept", ["bs2_alpha", "phi"])
+    def test_grid_call_equals_scalar_calls(self, swept):
+        if swept == "bs2_alpha":
+            grid = np.linspace(0.0, np.pi / 2, 9)
+            calls = [(alpha, 2.2) for alpha in grid]
+            report = dce_analyze(grid, 2.2)
+        else:
+            # multiples of pi/4 outside [0, 2 pi) hit the reduction and cos(phi) = 0
+            grid = np.arange(-9, 10) * np.pi / 4
+            calls = [(0.9, phi) for phi in grid]
+            report = dce_analyze(0.9, grid)
+        for i, call in enumerate(calls):
+            single = dce_analyze(*call)
+            assert {key: value[i] for key, value in report.scalars.items()} == single.scalars
+            assert report.states.keys() == single.states.keys()
+            for name, state in single.states.items():
+                assert report.states[name].dims == state.dims
+                assert report.states[name].matrix[i].tobytes() == state.matrix.tobytes()
+
+    def test_grid_checks_name_first_offending_value(self):
+        with pytest.raises(ValidationError, match=re.escape("phase phi = inf is not finite")):
+            dce_analyze(0.5, np.array([0.0, np.inf, np.nan]))
+        with pytest.raises(ValidationError, match=re.escape("bs2_alpha = 1.6 outside")):
+            dce_analyze(np.array([0.1, 1.6, -1.0]), 0.3)
 
     def test_joint_state_is_pure_two_qubit(self):
         report = dce_analyze(0.8, 1.5)

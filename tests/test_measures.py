@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from waveparticle import measures
 from waveparticle.channels import ReferenceObservable, dephase
-from waveparticle.states import ValidationError, basis_state, projector
+from waveparticle.states import ValidationError, basis_state, hermitian_part, projector
 
 RNG = np.random.default_rng(303)
 
@@ -246,6 +248,46 @@ def test_duality_matches_dephased_matrix_route(seed, dim, q):
             assert abs(split[key] - value) <= 1e-12
     # the last basis is the computational one, where the match is bit for bit
     assert split == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(1, 5),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_stack_matches_per_matrix_loop(seed, dim, size, q):
+    rng = np.random.default_rng(seed)
+    # mixed ranks, so at q = 1 the members drop different numbers of eigenvalues
+    stack = np.array([random_density(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                      for _ in range(size)])
+    herm = hermitian_part(stack)
+    entropy = measures.tsallis_entropy(stack, q)
+    assert herm.shape == stack.shape and entropy.shape == (size,)
+    for obs in (random_basis(dim, rng), ReferenceObservable.computational(dim)):
+        split = measures.duality(stack, obs, q)
+        for i, rho in enumerate(stack):
+            assert herm[i].tobytes() == hermitian_part(rho).tobytes()
+            assert entropy[i] == measures.tsallis_entropy(rho, q)
+            assert {key: value[i] for key, value in split.items()} == measures.duality(rho, obs, q)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda rho: hermitian_part(rho, name="state"),
+    measures.tsallis_entropy,
+    lambda rho: measures.duality(rho, ReferenceObservable.computational(2)),
+], ids=["hermitian_part", "tsallis_entropy", "duality"])
+@pytest.mark.parametrize("defect,entries,message", [
+    ("non-Hermitian", {(0, 1): 0.3}, "is not Hermitian"),
+    ("NaN entry", {(0, 1): np.nan}, "has non-finite entries at [(0, 1)]"),
+    ("infinite diagonal", {(1, 1): np.inf}, "has non-finite entries at [(1, 1)]"),
+    ("infinite pair", {(0, 1): np.inf, (1, 0): np.inf},
+     "has non-finite entries at [(0, 1), (1, 0)]"),
+])
+@pytest.mark.parametrize("member", [0, 2])
+def test_stack_with_one_bad_member_rejected(measure, defect, entries, message, member):
+    stack = np.array([np.eye(2, dtype=complex) / 2] * 3)
+    for entry, value in entries.items():
+        stack[(member, *entry)] = value
+    with pytest.raises(ValidationError, match=re.escape(f"state [{member}] {message}")):
+        measure(stack)
 
 
 @settings(max_examples=40, deadline=None)

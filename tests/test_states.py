@@ -129,8 +129,6 @@ def test_validate_pure():
         validate_pure(psi * 1.001)
 
 
-# inf - inf on the diagonal warns before the check rejects the matrix
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.inf)])
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
 def test_non_finite_matrix_rejected(value, entry):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,6 @@ import numpy as np
 from .channels import ReferenceObservable, dephase, populations
 from .states import ValidationError, _clamp, _unstack, eig_hermitian, hermitian_part
 
-VON_NEUMANN_Q_TOL = 1e-6
 FULL_RANK_TOL = 1e-12
 _LOG_FLOOR = 1e-15
 BOLTZMANN_SI = 1.380649e-23
@@ -39,36 +39,32 @@ def shannon(p) -> float:
 
 
 def tsallis_entropy(rho, q: float = 1.0):
-    """Entropy of order q: (1 - Tr rho^q)/(q - 1), von Neumann as q -> 1.
+    """Entropy of order q: -sum lam ln_q(lam) over the spectrum, von Neumann at q = 1.
 
-    Orders within 1e-6 of 1 take the explicit von Neumann branch; eigenvalues
-    below 1e-15 are dropped before the logarithm. A float for one matrix, an
-    array for a stack (..., d, d).
+    ln_q(x) = expm1((q - 1) ln x)/(q - 1) is continuous in q, with the limit
+    ln x taken at q = 1 exactly. Eigenvalues at or below 1e-15 contribute
+    nothing at every order. A float for one matrix, an array for a stack
+    (..., d, d).
     """
     q = _check_q(q)
     lam = np.linalg.eigvalsh(hermitian_part(rho, name="state"))
     return _unstack(_spectral_entropy(lam, q))
 
 
+def _ln_q(log_x, q: float):
+    """Order-q logarithm expm1((q - 1) ln x)/(q - 1), given ln x; ln x at q = 1.
+
+    A Python float stays on math, so max_entropy pays no numpy scalar cost."""
+    if q == 1.0:
+        return log_x
+    expm1 = math.expm1 if isinstance(log_x, float) else np.expm1
+    return expm1((q - 1.0) * log_x) / (q - 1.0)
+
+
 def _spectral_entropy(lam: np.ndarray, q: float) -> np.ndarray:
-    """Entropy of each ascending spectrum along the last axis of lam."""
-    lam = np.maximum(lam, 0.0)
-    if abs(q - 1.0) < VON_NEUMANN_Q_TOL:
-        # The dropped eigenvalues are a prefix of each ascending spectrum. Rows
-        # dropping the same number are summed together, so each row is summed
-        # exactly as its kept suffix alone would be, bit for bit at any size.
-        rows = lam.reshape(-1, lam.shape[-1])
-        dropped = (rows <= _LOG_FLOOR).sum(axis=1)
-        starts = set(dropped.tolist())
-        value = np.empty(len(rows))
-        for start in starts:
-            group = dropped == start if len(starts) > 1 else slice(None)
-            tail = rows[group, start:]
-            value[group] = -(tail * np.log(tail)).sum(axis=1)
-        value = value.reshape(lam.shape[:-1])
-    else:
-        value = (1.0 - (lam ** q).sum(axis=-1)) / (q - 1.0)
-    return _clamp(value)
+    """Entropy of each spectrum along the last axis of lam."""
+    log_lam = np.log(lam, out=np.zeros_like(lam), where=lam > _LOG_FLOOR)
+    return _clamp(-(lam * _ln_q(log_lam, q)).sum(axis=-1))
 
 
 def max_entropy(dim: int, q: float = 1.0) -> float:
@@ -77,9 +73,7 @@ def max_entropy(dim: int, q: float = 1.0) -> float:
     dim = int(dim)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    if abs(q - 1.0) < VON_NEUMANN_Q_TOL:
-        return float(np.log(dim))
-    return float((1.0 - float(dim) ** (1.0 - q)) / (q - 1.0))
+    return -_ln_q(-math.log(dim), q)
 
 
 def information(rho, q: float = 1.0) -> float:
@@ -122,21 +116,18 @@ def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0) -> flo
     """First-order bound on the wavelike information.
 
     Evaluates Tr[(rho - dephased) f'(rho)] where f is the spectral density
-    of the order-q information. The derivative involves ln or negative
-    powers for q <= 1, so the state must be full rank there.
+    of the order-q information, f'(lam) = 1 + q ln_q(lam). That slope diverges
+    at a zero eigenvalue for q <= 1, so the state must be full rank there; for
+    q > 1 a zero eigenvalue takes the limit ln_q(0) = -1/(q - 1).
     """
     q = _check_q(q)
     rho = np.asarray(rho, dtype=complex)
     w, v = eig_hermitian(rho)
-    von_neumann = abs(q - 1.0) < VON_NEUMANN_Q_TOL
-    if (von_neumann or q < 1.0) and float(w.min()) <= FULL_RANK_TOL:
+    if q <= 1.0 and float(w.min()) <= FULL_RANK_TOL:
         raise ValueError(
             f"state must be full rank for order q = {q}: min eigenvalue {float(w.min()):.3e}")
-    if von_neumann:
-        derivative = 1.0 + np.log(w)
-    else:
-        derivative = -(1.0 - q * w ** (q - 1.0)) / (q - 1.0)
-    slope = (v * derivative) @ v.conj().T
+    log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)
+    slope = (v * (1.0 + q * _ln_q(log_w, q))) @ v.conj().T
     delta = rho - dephase(rho, k_obs)
     return float(np.trace(delta @ slope).real)
 

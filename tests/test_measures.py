@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,9 +71,24 @@ class TestTsallisEntropy:
         for q in (1.0 - 2e-6, 1.0 + 2e-6):
             assert measures.tsallis_entropy(rho, q) == pytest.approx(s1, abs=1e-4)
 
-    def test_pure_state_zero(self):
-        assert measures.tsallis_entropy(projector(basis_state(3, 1)), 1.0) == 0.0
-        assert measures.tsallis_entropy(projector(basis_state(3, 1)), 2.0) == 0.0
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.0 + 5e-7, 2.0, 3.0])
+    def test_pure_state_zero(self, q):
+        assert measures.tsallis_entropy(projector(basis_state(3, 1)), q) == 0.0
+        # eigvalsh leaves dust of order 1e-17 in this spectrum; at q = 0.5 a
+        # dust eigenvalue d adds 2 sqrt(d) unless it is dropped at every order
+        dusty = projector(np.array([0.6, 0.8j, 0.0, 0.0]))
+        assert measures.tsallis_entropy(dusty, q) == 0.0
+
+    @pytest.mark.parametrize("entropy", [
+        lambda q: measures.tsallis_entropy(random_density(4, np.random.default_rng(5)), q),
+        lambda q: measures.max_entropy(4, q),
+    ], ids=["tsallis_entropy", "max_entropy"])
+    def test_first_order_smooth_through_q_one(self, entropy):
+        s1 = entropy(1.0)
+        slope = (entropy(1.0 + 1e-3) - entropy(1.0 - 1e-3)) / 2e-3
+        for step in (0.999e-6, 1.001e-6, 2e-6):
+            for q in (1.0 - step, 1.0 + step):
+                assert abs(entropy(q) - s1 - (q - 1.0) * slope) <= 1e-10
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
@@ -171,6 +187,17 @@ class TestUpperBound:
             measures.wavelike_upper_bound(rho, obs, 0.5)
         # q = 2 needs no inverse powers, rank deficiency is fine
         measures.wavelike_upper_bound(rho, obs, 2.0)
+
+    @pytest.mark.parametrize("q", [1.0 + 5e-7, 2.0])
+    def test_rank_deficient_above_q_one(self, q):
+        # a zero eigenvalue takes the slope's limit -1/(q - 1), without a log(0) warning
+        rho = projector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+        obs = ReferenceObservable.computational(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = measures.wavelike_upper_bound(rho, obs, q)
+        assert np.isfinite(bound)
+        assert bound >= measures.wavelike_info(rho, obs, q)
 
 
 class TestParticlelike:
@@ -292,7 +319,8 @@ def test_stack_with_one_bad_member_rejected(measure, defect, entries, message, m
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
-       st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+       st.sampled_from([0.5, 1.0 - 2e-6, 1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.0 + 2e-6,
+                        1.5, 2.0, 3.0]))
 def test_entropy_bounds_hold(seed, dim, q):
     rng = np.random.default_rng(seed)
     rho = random_density(dim, rng)

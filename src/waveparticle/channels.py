@@ -7,6 +7,8 @@ import numpy as np
 from .states import (
     DEFAULT_TOL,
     ValidationError,
+    _first_failure,
+    _unstack,
     eig_hermitian,
     hermitian_part,
     projector,
@@ -86,10 +88,10 @@ def dephase(rho, k_obs: ReferenceObservable) -> np.ndarray:
     """Unread measurement of the reference observable.
 
     Keeps the populations on the reference basis and kills every coherence
-    between distinct basis states.
+    between distinct basis states. A stack (..., d, d) gives a stack.
     """
     u = k_obs.columns
-    return (u * populations(rho, k_obs)) @ u.conj().T
+    return (u * populations(rho, k_obs)[..., None, :]) @ u.conj().T
 
 
 def measure_select(rho, k_obs: ReferenceObservable, k: int) -> tuple[np.ndarray, float]:
@@ -108,16 +110,17 @@ def measure_select(rho, k_obs: ReferenceObservable, k: int) -> tuple[np.ndarray,
     return projector(vec), min(p, 1.0)
 
 
-def measure_select_joint(rho, split, k_obs: ReferenceObservable,
-                         k: int) -> tuple[np.ndarray, float]:
+def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     """Measure the left factor of a bipartite state, keep the right one.
 
     Returns the conditional state of the unmeasured factor and the click
-    probability.
+    probability. A stack (..., dA dB, dA dB) gives a stack of conditional
+    states and an array of probabilities; the first member for which the
+    outcome is impossible is named by its index.
     """
     rho = np.asarray(rho, dtype=complex)
     dim_a, dim_b = int(split[0]), int(split[1])
-    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
+    if rho.ndim < 2 or rho.shape[-2:] != (dim_a * dim_b, dim_a * dim_b):
         raise ValidationError(
             f"state shape {rho.shape} does not match split {dim_a}x{dim_b}")
     if k_obs.dim != dim_a:
@@ -126,14 +129,16 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable,
     if not 0 <= k < dim_a:
         raise ValueError(f"outcome index {k} out of range for dimension {dim_a}")
     vec = k_obs.columns[:, k]
-    blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    unnormalized = np.einsum("a,aibj,b->ij", vec.conj(), blocks, vec)
-    p = float(np.real(np.trace(unnormalized)))
-    if p < IMPOSSIBLE_OUTCOME_TOL:
-        raise ImpossibleOutcomeError(f"outcome {k} has probability {p:.3e}")
-    conditional = unnormalized / p
-    conditional = (conditional + conditional.conj().T) / 2.0
-    return conditional, min(p, 1.0)
+    blocks = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
+    unnormalized = np.einsum("a,...aibj,b->...ij", vec.conj(), blocks, vec)
+    p = np.trace(unnormalized, axis1=-2, axis2=-1).real
+    bad = p < IMPOSSIBLE_OUTCOME_TOL
+    if bad.any():
+        index, at = _first_failure(bad)
+        raise ImpossibleOutcomeError(f"outcome {k}{at} has probability {p[index]:.3e}")
+    conditional = unnormalized / p[..., None, None]
+    conditional = (conditional + conditional.conj().swapaxes(-1, -2)) / 2.0
+    return conditional, _unstack(np.minimum(p, 1.0))
 
 
 def purify(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -153,25 +158,32 @@ class InformerModel:
     """Branch amplitudes plus the Gram matrix of the attached informer states.
 
     gram[k', k] is the overlap <I_k'|I_k>; unit diagonal and positive
-    semidefiniteness are required.
+    semidefiniteness are required. gram may be a stack (..., n, n) of Gram
+    matrices sharing the amplitudes; the first failing one is named by its
+    index.
     """
 
     def __init__(self, amplitudes, gram, tol: float = DEFAULT_TOL):
         c = validate_pure(amplitudes, tol=tol)
         g = np.asarray(gram, dtype=complex)
         n = c.size
-        if g.shape != (n, n):
+        if g.ndim < 2 or g.shape[-2:] != (n, n):
             raise ValidationError(
                 f"Gram matrix shape {g.shape} does not match {n} branches")
         g = hermitian_part(g, tol, "Gram matrix")
-        diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
-        if diag_dev > tol:
+        diag_dev = np.abs(np.diagonal(g, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
+        bad = diag_dev > tol
+        if bad.any():
+            index, at = _first_failure(bad)
             raise ValidationError(
-                f"Gram diagonal deviates from 1 by {diag_dev:.3e}, informer states must be normalized")
-        smallest = float(np.linalg.eigvalsh(g).min())
-        if smallest < -tol:
+                f"Gram diagonal{at} deviates from 1 by {diag_dev[index]:.3e}, "
+                "informer states must be normalized")
+        smallest = np.linalg.eigvalsh(g)[..., 0]
+        bad = smallest < -tol
+        if bad.any():
+            index, at = _first_failure(bad)
             raise ValidationError(
-                f"Gram matrix is not positive semidefinite: eigenvalue {smallest:.3e}")
+                f"Gram matrix{at} is not positive semidefinite: eigenvalue {smallest[index]:.3e}")
         self.amplitudes = c
         self.gram = g
 
@@ -187,8 +199,9 @@ def reduced_from_informer(model: InformerModel) -> np.ndarray:
     """Quanton state left after entangling each branch with an informer state.
 
     Entry (k, k') is c_k conj(c_k') <I_k'|I_k>; overlapping informer states
-    preserve coherence, orthogonal ones erase it.
+    preserve coherence, orthogonal ones erase it. A stack of Gram matrices
+    gives a stack (..., n, n) of states.
     """
     c = model.amplitudes
-    raw = (c[:, None] * c.conj()[None, :]) * model.gram.T
+    raw = (c[:, None] * c.conj()[None, :]) * model.gram.swapaxes(-1, -2)
     return validate_density(raw)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Callable, NamedTuple
 
@@ -25,6 +26,9 @@ from .nonlocality import chsh_nl, concurrence
 from .verify import run_checks
 
 _AMP_NORM_TOL = 1e-4
+# Grid points per scenario call in a sweep: large enough that per-call
+# overhead vanishes, small enough that the stacks of one block stay a few MB.
+SWEEP_BLOCK = 1024
 
 
 def _amplitudes(args) -> np.ndarray:
@@ -100,23 +104,23 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"start {args.start!r} exceeds stop {args.stop!r}")
     field = args.param.replace("-", "_")
     grid = np.linspace(args.start, args.stop, args.steps)
-    if scenario.takes_arrays:
-        # One call evaluates the whole grid; a scalar such as q repeats down it.
-        scalars = _run_swept(args, field, grid)
-        table = zip(*np.broadcast_arrays(grid, *scalars.values()))
-    else:
-        table = []
-        for value in grid:
-            scalars = _run_swept(args, field, float(value))
-            table.append([value, *scalars.values()])
-    rows = [[io.format_float(v) for v in row] for row in table]
-    io.write_csv(args.out, [args.param, *scalars], rows)
-    sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
+    blocks = (grid[i:i + SWEEP_BLOCK] for i in range(0, grid.size, SWEEP_BLOCK))
+    evaluated = ((block, _run_swept(args, field, block)) for block in blocks)
+    # The first block runs before the file is opened and names the columns;
+    # the others run while it is written, so only one block is held at a time.
+    first = next(evaluated)
+    rows = ([io.format_float(v) for v in row]
+            for block, scalars in itertools.chain([first], evaluated)
+            # a scalar such as q repeats down the block
+            for row in zip(*np.broadcast_arrays(block, *scalars.values())))
+    io.write_csv(args.out, [args.param, *first[1]], rows)
+    sys.stdout.write(f"wrote {grid.size} rows to {args.out}\n")
     return 0
 
 
-def _run_swept(args, field: str, value) -> dict:
-    setattr(args, field, value)
+def _run_swept(args, field: str, values: np.ndarray) -> dict:
+    """One call of the scenario on a block of grid values."""
+    setattr(args, field, values)
     report = SCENARIOS[args.name].run(args)
     _extend_with_q(report, args.q)
     return report.scalars
@@ -160,19 +164,19 @@ def _run_morphing(args) -> ExperimentReport:
 
 
 class Scenario(NamedTuple):
-    """A runner from parsed flags, the flags sweep may vary, the state --q reads,
-    and whether the runner takes the whole sweep grid as an array."""
+    """A runner from parsed flags, the flags sweep may vary, and the state --q
+    reads. A runner takes an array for any sweepable flag and evaluates the
+    whole array in one call."""
 
     run: Callable[[argparse.Namespace], ExperimentReport]
     sweepable: tuple[str, ...]
     principal_state: str
-    takes_arrays: bool = False
 
 
 SCENARIOS = {
     "mzi": Scenario(lambda args: mzi_run(MziConfig(phi=args.phi, bs2=args.bs2)),
                     ("phi",), "pre_detector"),
-    "dce": Scenario(_run_dce, ("bs2-alpha", "phi"), "quanton", takes_arrays=True),
+    "dce": Scenario(_run_dce, ("bs2-alpha", "phi"), "quanton"),
     "wave-detector": Scenario(
         lambda args: wave_detector_run(WernerInput(args.x, _amplitudes(args))),
         ("x",), "input"),

@@ -77,32 +77,38 @@ def _checked_phase(phi) -> np.ndarray:
     return phi % _TWO_PI
 
 
-def _checked_splitter_angle(alpha) -> np.ndarray:
-    """Splitter angles in [0, pi/2]; the first one outside is named."""
-    alpha = np.asarray(alpha, dtype=float)
-    bad = ~((0.0 <= alpha) & (alpha <= np.pi / 2.0 + 1e-12))
+def _checked_range(values, label: str, shown: str = "[0, 1]",
+                   high: float = 1.0) -> np.ndarray:
+    """Values in [0, high]; the first one outside (NaN included) is named."""
+    values = np.asarray(values, dtype=float)
+    bad = ~((0.0 <= values) & (values <= high))
     if bad.any():
-        raise ValidationError(f"bs2_alpha = {float(alpha[bad][0])!r} outside [0, pi/2]")
-    return alpha
+        raise ValidationError(f"{label} = {float(values[bad][0])!r} outside {shown}")
+    return values
+
+
+def _checked_splitter_angle(alpha) -> np.ndarray:
+    return _checked_range(alpha, "bs2_alpha", "[0, pi/2]", np.pi / 2.0 + 1e-12)
 
 
 @dataclass(frozen=True)
 class MziConfig:
     """Interferometer configuration: relative phase and output splitter mode.
 
-    The phase must be finite and is reduced modulo 2 pi at construction. The
-    splitter mode is 'present', 'absent', or 'superposed'; the last needs
-    bs2_alpha in [0, pi/2] setting the amplitude on the acting branch.
+    The phase (or an array of phases) must be finite and is reduced modulo
+    2 pi at construction. The splitter mode is 'present', 'absent', or
+    'superposed'; the last needs bs2_alpha in [0, pi/2] setting the amplitude
+    on the acting branch.
     """
 
-    phi: float
+    phi: float | np.ndarray
     bs2: str = "present"
     bs2_alpha: float | None = None
 
     def __post_init__(self):
         if self.bs2 not in ("present", "absent", "superposed"):
             raise ValidationError(f"unknown bs2 mode {self.bs2!r}")
-        object.__setattr__(self, "phi", float(_checked_phase(float(self.phi))))
+        object.__setattr__(self, "phi", _unstack(_checked_phase(self.phi)))
         if self.bs2 == "superposed":
             if self.bs2_alpha is None:
                 raise ValidationError("bs2_alpha is required when bs2 is superposed")
@@ -141,19 +147,20 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
     it reaches the detectors either directly (splitter absent) or after
     recombination. Detector probabilities are the path populations of the
     state in front of the detectors, and the wave/particle measures of that
-    state are evaluated in the path basis.
+    state are evaluated in the path basis. An array of phases gives arrays
+    of scalars and stacks of states over the grid.
     """
     if config.bs2 == "superposed":
         raise ValidationError("a superposed output splitter is handled by dce_analyze")
     obs = path_basis(2)
     mid = phase_shifter(config.phi) @ (BEAM_SPLITTER @ basis_state(2, 0))
-    pre_detector = BEAM_SPLITTER @ mid if config.bs2 == "present" else mid
+    pre_detector = (BEAM_SPLITTER @ mid[..., None])[..., 0] if config.bs2 == "present" else mid
     rho_mid = projector(mid)
     rho_pre = projector(pre_detector)
     populations = np.abs(pre_detector) ** 2
     scalars = {
-        "p_detector_0": float(populations[0]),
-        "p_detector_1": float(populations[1]),
+        "p_detector_0": _unstack(populations[..., 0]),
+        "p_detector_1": _unstack(populations[..., 1]),
         **_dual_measures(rho_pre, obs),
         "wavelike_mid_q1": measures.wavelike_info(rho_mid, obs, 1.0),
         "wavelike_mid_q2": measures.wavelike_info(rho_mid, obs, 2.0),
@@ -204,24 +211,24 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
 
 @dataclass(frozen=True)
 class WernerInput:
-    """Mixing weight x plus the pure qubit the mixture is biased toward."""
+    """Mixing weight x, or an array of them, plus the pure qubit the mixture
+    is biased toward."""
 
-    x: float
+    x: float | np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        x = float(self.x)
-        if not 0.0 <= x <= 1.0:
-            raise ValidationError(f"mixing weight x = {x!r} outside [0, 1]")
-        object.__setattr__(self, "x", x)
+        x = _checked_range(self.x, "mixing weight x")
+        object.__setattr__(self, "x", _unstack(x))
         amps = validate_pure(self.amplitudes)
         if amps.size != 2:
             raise ValidationError("amplitudes must describe a single qubit")
         object.__setattr__(self, "amplitudes", amps)
 
     def density(self) -> np.ndarray:
-        return ((1.0 - self.x) * np.eye(2, dtype=complex) / 2.0
-                + self.x * projector(self.amplitudes))
+        x = np.asarray(self.x)[..., None, None]
+        return ((1.0 - x) * np.eye(2, dtype=complex) / 2.0
+                + x * projector(self.amplitudes))
 
 
 def wave_detector_run(werner: WernerInput) -> ExperimentReport:
@@ -232,7 +239,8 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
     beam splitter one detector clicks, leaving the register in a conditional
     state whose concurrence and CHSH violation quantify how wavelike the
     input was. The identity n_l = 2 * wavelike_q2(input) is reported as a
-    residual.
+    residual. An array of mixing weights runs the whole grid as one stack
+    through every step, giving arrays of scalars and stacks of states.
     """
     rho_q = werner.density()
     total = tensor(rho_q, _REGISTER)
@@ -240,10 +248,10 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
     evolved = _MIX @ evolved @ _MIX.conj().T
     split = BipartiteSplit(2, 4)
     obs = path_basis(2)
-    scalars: dict[str, float] = {}
+    scalars = {}
     states: dict[str, ReportState] = {"input": ReportState((2,), rho_q)}
     duals = _dual_measures(rho_q, obs)
-    activation_residual = 0.0
+    residuals = []
     for k in (0, 1):
         conditional, p = measure_select_joint(evolved, split, obs, k)
         b_max, n_l = chsh_nl(conditional)
@@ -252,10 +260,9 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
         scalars[f"nonlocality_click_{k}"] = n_l
         scalars[f"concurrence_click_{k}"] = concurrence(conditional)
         states[f"conditional_click_{k}"] = ReportState((2, 2), conditional)
-        activation_residual = max(activation_residual,
-                                  abs(n_l - 2.0 * duals["wavelike_q2"]))
+        residuals.append(np.abs(n_l - 2.0 * duals["wavelike_q2"]))
     scalars.update(duals)
-    scalars["nonlocality_activation_residual"] = activation_residual
+    scalars["nonlocality_activation_residual"] = _unstack(np.maximum(*residuals))
     return ExperimentReport("wave-detector", scalars, states)
 
 
@@ -313,20 +320,20 @@ def measurement_model(amplitudes, perspective: str,
     return ExperimentReport("measurement-model", scalars, states)
 
 
-def morphing_scan(amplitudes, eta: float) -> ExperimentReport:
+def morphing_scan(amplitudes, eta) -> ExperimentReport:
     """Quanton entangled with an informer of tunable distinguishability.
 
     eta is the overlap between the informer states tied to the two branches:
     1 leaves the superposition untouched, 0 records full which-path
-    information and erases the coherence.
+    information and erases the coherence. An array of overlaps gives arrays
+    of scalars and a stack of states.
     """
     c = validate_pure(amplitudes)
     if c.size != 2:
         raise ValidationError("amplitudes must describe a single qubit")
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"overlap eta = {eta!r} outside [0, 1]")
-    gram = np.array([[1.0, eta], [eta, 1.0]], dtype=complex)
+    eta = _checked_range(eta, "overlap eta")
+    gram = np.ones((*eta.shape, 2, 2), dtype=complex)
+    gram[..., 0, 1] = gram[..., 1, 0] = eta
     rho_q = reduced_from_informer(InformerModel(c, gram))
     obs = path_basis(2)
     scalars = _dual_measures(rho_q, obs)

@@ -7,9 +7,11 @@ scientific notation so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
-from typing import NamedTuple
+import os
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -222,8 +224,21 @@ def report_payload(report: ExperimentReport) -> dict:
     }
 
 
-def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_csv(path: str, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write a CSV file from a header and an iterable of rows.
+
+    The rows go to a temporary file next to path, which replaces path only
+    once every row is written. If writing or producing a row fails, the
+    temporary file is removed, and path is neither created nor changed.
+    """
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise

@@ -76,10 +76,13 @@ def max_entropy(dim: int, q: float = 1.0) -> float:
     return -_ln_q(-math.log(dim), q)
 
 
-def information(rho, q: float = 1.0) -> float:
-    """Information content: maximal entropy minus the state's entropy."""
-    dim = np.asarray(rho).shape[0]
-    return max(0.0, max_entropy(dim, q) - tsallis_entropy(rho, q))
+def information(rho, q: float = 1.0):
+    """Information content: maximal entropy minus the state's entropy.
+
+    A float for one matrix, an array for a stack (..., d, d).
+    """
+    dim = np.asarray(rho).shape[-1]
+    return _unstack(_clamp(max_entropy(dim, q) - tsallis_entropy(rho, q)))
 
 
 def duality(rho, k_obs: ReferenceObservable, q: float = 1.0) -> dict:

@@ -29,31 +29,35 @@ _PAULI_PRODUCTS.setflags(write=False)
 _UNIT_EPS = 1e-14
 
 
-def _check_two_qubit(rho) -> np.ndarray:
+def _check_two_qubit(rho, stack: bool = False) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if not (rho.ndim == 2 or stack and rho.ndim > 2) or rho.shape[-2:] != (4, 4):
         raise ValidationError(f"two-qubit state must be 4x4, got shape {rho.shape}")
     return hermitian_part(rho, name="two-qubit state")
 
 
 def correlation_matrix(rho) -> np.ndarray:
-    """Pauli correlation tensor T_ij = Tr[rho (sigma_i x sigma_j)], order (x, y, z)."""
-    rho = _check_two_qubit(rho)
-    return np.einsum("ab,ijba->ij", rho, _PAULI_PRODUCTS).real
+    """Pauli correlation tensor T_ij = Tr[rho (sigma_i x sigma_j)], order (x, y, z).
+
+    A stack (..., 4, 4) of states gives a stack (..., 3, 3) of tensors.
+    """
+    rho = _check_two_qubit(rho, stack=True)
+    return np.einsum("...ab,ijba->...ij", rho, _PAULI_PRODUCTS).real
 
 
-def chsh_nl(rho) -> tuple[float, float]:
+def chsh_nl(rho):
     """Largest CHSH value over measurement settings, and the violation degree.
 
     The maximum is 2 sqrt(u1 + u2) with u1 >= u2 the two largest eigenvalues
-    of T^T T; the violation degree is max(0, b_max^2 / 4 - 1).
+    of T^T T (Horodecki criterion); the violation degree is
+    max(0, b_max^2 / 4 - 1). Two floats for one state, two arrays for a
+    stack (..., 4, 4), from one batched eigvalsh.
     """
     t = correlation_matrix(rho)
-    u = np.linalg.eigvalsh(t.T @ t)
-    top_two = float(u[-1] + u[-2])
-    b_max = 2.0 * float(np.sqrt(max(top_two, 0.0)))
-    n_l = max(0.0, b_max * b_max / 4.0 - 1.0)
-    return b_max, n_l
+    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    b_max = 2.0 * np.sqrt(_clamp(u[..., -1] + u[..., -2]))
+    n_l = _clamp(b_max * b_max / 4.0 - 1.0)
+    return _unstack(b_max), _unstack(n_l)
 
 
 class ChshSettings:
@@ -140,20 +144,21 @@ def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200,
     return chsh_value(rho, ChshSettings(a[i], a_prime[i], b[i], b_prime[i]))
 
 
-def concurrence(rho) -> float:
+def concurrence(rho):
     """Wootters concurrence of a two-qubit state.
 
     The square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy) are
     evaluated as singular values of (V sqrt(L))^T (sy x sy) (V sqrt(L)), an
     algebraically identical form that avoids square roots of eigensolver
-    noise near zero.
+    noise near zero. A float for one state; a stack (..., 4, 4) gives an
+    array from one batched eig_hermitian and svd.
     """
-    rho = _check_two_qubit(rho)
+    rho = _check_two_qubit(rho, stack=True)
     w, v = eig_hermitian(rho)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    core = factor.T @ _SPIN_FLIP @ factor
+    factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    core = factor.swapaxes(-1, -2) @ _SPIN_FLIP @ factor
     s = np.linalg.svd(core, compute_uv=False)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+    return _unstack(_clamp(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]))
 
 
 def linear_entanglement(psi, split):

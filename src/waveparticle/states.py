@@ -132,21 +132,22 @@ def hermitian_part(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndar
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix or a stack (..., d, d).
 
     Eigenvalues come out descending, ties in eigh's order. Each eigenvector
     has its first component above 1e-12 in modulus made real and positive,
-    so repeated runs agree bit for bit.
+    so repeated runs agree bit for bit, and each member of a stack gets the
+    bits it would get alone.
 
-    Returns (eigenvalues, matrix of column eigenvectors).
+    Returns (eigenvalues, matrix of column eigenvectors), stacked alike.
     """
-    m = np.asarray(m, dtype=complex)
-    _require_square(m)
     w, v = np.linalg.eigh(hermitian_part(m, tol))
-    pivot = v[np.argmax(np.abs(v) > _PHASE_EPS, axis=0), np.arange(v.shape[1])]
+    first = np.argmax(np.abs(v) > _PHASE_EPS, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(v, first, axis=-2)
     v = v * (np.abs(pivot) / pivot)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
 def hs_norm_sq(m):
@@ -185,19 +186,24 @@ def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Hermiticity, unit trace and positivity are checked first; eigenvalues
     are then clipped to [0, 1] and the trace renormalized, which removes
-    floating point dust without masking real violations.
+    floating point dust without masking real violations. A stack (..., d, d)
+    is certified member by member; the first failing one is named by its index.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _require_square(rho, "density matrix")
     rho = hermitian_part(rho, tol, "density matrix")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > tol:
-        raise ValidationError(f"trace = {trace:.12g} deviates from 1 beyond {tol:.1e}")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(trace - 1.0) > tol
+    if bad.any():
+        index, at = _first_failure(bad)
+        raise ValidationError(
+            f"trace{at} = {complex(trace[index]):.12g} deviates from 1 beyond {tol:.1e}")
     w, v = eig_hermitian(rho, tol=tol)
-    smallest = float(w.min())
-    if smallest < -tol:
-        raise ValidationError(f"negative eigenvalue {smallest:.3e} beyond -{tol:.1e}")
+    smallest = w[..., -1]
+    bad = smallest < -tol
+    if bad.any():
+        index, at = _first_failure(bad)
+        raise ValidationError(
+            f"negative eigenvalue{at} {float(smallest[index]):.3e} beyond -{tol:.1e}")
     w = np.clip(w, 0.0, 1.0)
-    fixed = (v * w) @ v.conj().T
-    fixed = fixed / float(np.trace(fixed).real)
-    return (fixed + fixed.conj().T) / 2.0
+    fixed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
+    return (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0

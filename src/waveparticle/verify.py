@@ -62,48 +62,49 @@ def check_balanced_state_wavelike() -> CheckResult:
 
 
 def check_recombined_state_entropy() -> CheckResult:
+    phis = np.linspace(0.0, 2.0 * np.pi, 24)
+    report = mzi_run(MziConfig(phi=phis, bs2="present"))
     residual = 0.0
-    for phi in np.linspace(0.0, 2.0 * np.pi, 24):
-        report = mzi_run(MziConfig(phi=phi, bs2="present"))
+    for phi, wavelike in zip(phis, report.scalars["wavelike_q1"]):
         x = np.cos(phi / 2.0) ** 2
         expected = _entropy_terms([x, 1.0 - x])
-        residual = max(residual, abs(report.scalars["wavelike_q1"] - expected))
+        residual = max(residual, abs(float(wavelike) - expected))
     return CheckResult("02_recombined_state_binary_entropy", residual < 1e-12,
                        residual, 1e-12, "24 phases, output splitter present")
 
 
 def check_wave_detector_entanglement() -> CheckResult:
+    xs = np.linspace(0.0, 1.0, 10)
     residual = 0.0
-    for x in np.linspace(0.0, 1.0, 10):
-        for a in np.linspace(0.0, 1.0, 10):
-            amps = _qubit_pair(a)
-            ab = abs(amps[0] * amps[1])
-            report = wave_detector_run(WernerInput(x, amps))
-            for k in (0, 1):
-                residual = max(
-                    residual,
-                    abs(report.scalars[f"concurrence_click_{k}"] - 2.0 * x * ab),
-                    abs(report.scalars[f"nonlocality_click_{k}"]
-                        - 4.0 * x * x * ab * ab),
-                )
+    for a in np.linspace(0.0, 1.0, 10):
+        amps = _qubit_pair(a)
+        ab = abs(amps[0] * amps[1])
+        scalars = wave_detector_run(WernerInput(xs, amps)).scalars
+        for k in (0, 1):
+            residual = max(
+                residual,
+                float(np.max(np.abs(scalars[f"concurrence_click_{k}"] - 2.0 * xs * ab))),
+                float(np.max(np.abs(scalars[f"nonlocality_click_{k}"]
+                                    - 4.0 * xs * xs * ab * ab))),
+            )
     return CheckResult("03_wave_detector_entanglement_nonlocality",
                        residual < 1e-10, residual, 1e-10,
                        "10x10 grid in (x, |alpha|), both clicks")
 
 
 def check_werner_activation() -> CheckResult:
+    xs = np.linspace(0.0, 1.0, 10)
     residual = 0.0
-    for x in np.linspace(0.0, 1.0, 10):
-        for a in np.linspace(0.0, 1.0, 10):
-            amps = _qubit_pair(a)
-            ab = abs(amps[0] * amps[1])
-            report = wave_detector_run(WernerInput(x, amps))
-            iw2 = report.scalars["wavelike_q2"]
-            residual = max(residual, abs(iw2 - 2.0 * x * x * ab * ab))
-            for k in (0, 1):
-                residual = max(
-                    residual,
-                    abs(report.scalars[f"nonlocality_click_{k}"] - 2.0 * iw2))
+    for a in np.linspace(0.0, 1.0, 10):
+        amps = _qubit_pair(a)
+        ab = abs(amps[0] * amps[1])
+        scalars = wave_detector_run(WernerInput(xs, amps)).scalars
+        iw2 = scalars["wavelike_q2"]
+        residual = max(residual, float(np.max(np.abs(iw2 - 2.0 * xs * xs * ab * ab))))
+        for k in (0, 1):
+            residual = max(
+                residual,
+                float(np.max(np.abs(scalars[f"nonlocality_click_{k}"] - 2.0 * iw2))))
     return CheckResult("04_werner_wavelike_activation", residual < 1e-10,
                        residual, 1e-10,
                        "10x10 grid; activated nonlocality = twice wavelike info")
@@ -257,14 +258,14 @@ def check_relational_diagnosis() -> CheckResult:
 
 
 def check_morphing_limit() -> CheckResult:
+    etas = np.linspace(0.0, 1.0, 11)
     residual = 0.0
     for a in np.linspace(0.0, 1.0, 11):
         amps = _qubit_pair(a)
         ab2 = abs(amps[0] * amps[1]) ** 2
-        for eta in np.linspace(0.0, 1.0, 11):
-            report = morphing_scan(amps, eta)
-            residual = max(residual,
-                           abs(report.scalars["wavelike_q2"] - 2.0 * ab2 * eta * eta))
+        wavelike = morphing_scan(amps, etas).scalars["wavelike_q2"]
+        residual = max(residual,
+                       float(np.max(np.abs(wavelike - 2.0 * ab2 * etas * etas))))
     balanced = morphing_scan(_qubit_pair(1.0 / np.sqrt(2.0)), 1.0)
     residual = max(residual, abs(balanced.scalars["wavelike_q2"] - 0.5))
     return CheckResult("14_informer_overlap_morphing", residual < 1e-10,

@@ -63,6 +63,17 @@ class TestDephase:
         np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-12)
         np.testing.assert_allclose(out, np.diag(np.diag(out)), atol=1e-12)
 
+    def test_stack_matches_per_matrix_loop(self):
+        # as many members as the dimension, so a broadcast over the wrong
+        # axis would not raise
+        stack = np.array([random_density(3) for _ in range(3)])
+        u = np.linalg.qr(RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3)))[0]
+        obs = ReferenceObservable(u)
+        out = dephase(stack, obs)
+        assert out.shape == stack.shape
+        for i, rho in enumerate(stack):
+            assert out[i].tobytes() == dephase(rho, obs).tobytes()
+
     def test_diagonal_state_is_fixed_exactly(self):
         # bitwise fixed point, not just within tolerance
         rho = np.diag([0.3, 0.2, 0.5]).astype(complex)

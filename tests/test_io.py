@@ -202,3 +202,27 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw == b"a,b\n1,2\n3,4\n"
+
+    def test_rows_may_be_a_generator(self, tmp_path):
+        path = tmp_path / "out.csv"
+        io.write_csv(str(path), ["a"], ([str(i)] for i in range(3)))
+        assert path.read_bytes() == b"a\n0\n1\n2\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failing_rows_leave_existing_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+
+        def rows():
+            yield ["1"]
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError, match="bad row"):
+            io.write_csv(str(path), ["a"], rows())
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_missing_directory_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            io.write_csv(str(tmp_path / "no" / "out.csv"), ["a"], [["1"]])
+        assert list(tmp_path.iterdir()) == []

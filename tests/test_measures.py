@@ -123,6 +123,16 @@ class TestInformation:
         rho = projector(basis_state(4, 0))
         assert measures.information(rho, 1.0) == pytest.approx(np.log(4), abs=1e-12)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_stack_matches_per_matrix_loop(self, q):
+        # the dimension is the last axis, not the stack size
+        stack = np.array([random_density(3, rank=rank) for rank in (1, 2, 3, 3)])
+        stack[3] = np.eye(3) / 3
+        values = measures.information(stack, q)
+        assert values.shape == (4,)
+        assert values.tolist() == [measures.information(rho, q) for rho in stack]
+        assert values[3] == pytest.approx(0.0, abs=1e-12)
+
 
 class TestWavelike:
     def test_balanced_superposition(self):

@@ -1,0 +1,319 @@
+"""The stack contract: a stack (..., d, d) or a grid array gives every member
+the bits it would get on its own, and a failing member is named by its index."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from waveparticle import cli, io, measures
+from waveparticle.channels import (
+    ImpossibleOutcomeError,
+    InformerModel,
+    ReferenceObservable,
+    measure_select_joint,
+    reduced_from_informer,
+)
+from waveparticle.experiments import (
+    MziConfig,
+    WernerInput,
+    morphing_scan,
+    mzi_run,
+    wave_detector_run,
+)
+from waveparticle.nonlocality import (
+    ChshSettings,
+    chsh_bruteforce,
+    chsh_nl,
+    chsh_value,
+    concurrence,
+    correlation_matrix,
+)
+from waveparticle.states import ValidationError, eig_hermitian, validate_density
+
+AMPS = np.array([0.6, 0.8j], dtype=complex)
+Z = np.array([0.0, 0.0, 1.0])
+
+
+def random_two_qubit(rng, rank):
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_qubit(rng):
+    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return amps / np.linalg.norm(amps)
+
+
+def assert_same_bits(stacked, single):
+    assert np.asarray(stacked).tobytes() == np.asarray(single).tobytes()
+
+
+def assert_report_member(report, i, single):
+    """Member i of a grid report equals a single-point report bit for bit."""
+    assert list(report.scalars) == list(single.scalars)
+    assert {key: value[i] for key, value in report.scalars.items()} == single.scalars
+    assert report.states.keys() == single.states.keys()
+    for name, state in single.states.items():
+        assert report.states[name].dims == state.dims
+        assert_same_bits(report.states[name].matrix[i], state.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_two_qubit_stack_matches_per_member_loop(seed, size):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_two_qubit(rng, int(rng.integers(1, 5))) for _ in range(size)])
+    w, v = eig_hermitian(stack)
+    repaired = validate_density(stack)
+    t = correlation_matrix(stack)
+    b_max, n_l = chsh_nl(stack)
+    conc = concurrence(stack)
+    obs = ReferenceObservable(np.linalg.qr(rng.standard_normal((2, 2))
+                                           + 1j * rng.standard_normal((2, 2)))[0])
+    clicks = [measure_select_joint(stack, (2, 2), obs, k) for k in (0, 1)]
+    assert conc.shape == b_max.shape == n_l.shape == (size,)
+    for i, rho in enumerate(stack):
+        single_w, single_v = eig_hermitian(rho)
+        assert_same_bits(w[i], single_w)
+        assert_same_bits(v[i], single_v)
+        assert_same_bits(repaired[i], validate_density(rho))
+        assert_same_bits(t[i], correlation_matrix(rho))
+        assert (b_max[i], n_l[i]) == chsh_nl(rho)
+        assert conc[i] == concurrence(rho)
+        for k, (conditional, p) in enumerate(clicks):
+            single_conditional, single_p = measure_select_joint(rho, (2, 2), obs, k)
+            assert_same_bits(conditional[i], single_conditional)
+            assert p[i] == single_p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_grid_runs_match_single_point_runs(seed, size):
+    rng = np.random.default_rng(seed)
+    amps = random_qubit(rng)
+    # exact ends of the ranges as well as interior draws
+    values = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size)])
+    phis = np.concatenate([[0.0, np.pi], rng.uniform(-10.0, 10.0, size)])
+    wave = wave_detector_run(WernerInput(values, amps))
+    morph = morphing_scan(amps, values)
+    for i, value in enumerate(values):
+        assert_report_member(wave, i, wave_detector_run(WernerInput(float(value), amps)))
+        assert_report_member(morph, i, morphing_scan(amps, float(value)))
+    for bs2 in ("present", "absent"):
+        grid = mzi_run(MziConfig(phi=phis, bs2=bs2))
+        for i, phi in enumerate(phis):
+            assert_report_member(grid, i, mzi_run(MziConfig(phi=float(phi), bs2=bs2)))
+
+
+def test_gram_stack_matches_per_member_loop():
+    etas = np.linspace(0.0, 1.0, 5)
+    grams = np.ones((5, 2, 2), dtype=complex)
+    grams[:, 0, 1] = etas * np.exp(0.3j)
+    grams[:, 1, 0] = etas * np.exp(-0.3j)
+    stack = reduced_from_informer(InformerModel(AMPS, grams))
+    for i, gram in enumerate(grams):
+        assert_same_bits(stack[i], reduced_from_informer(InformerModel(AMPS, gram)))
+
+
+def test_single_inputs_return_floats():
+    rho = random_two_qubit(np.random.default_rng(1), 4)
+    conditional, p = measure_select_joint(rho, (2, 2), ReferenceObservable.computational(2), 0)
+    assert conditional.shape == (2, 2)
+    assert all(type(value) is float for value in (*chsh_nl(rho), concurrence(rho), p))
+    assert correlation_matrix(rho).shape == (3, 3)
+
+
+def with_member(entry, value, member=1, size=3):
+    stack = np.array([np.eye(4, dtype=complex) / 4] * size)
+    stack[(member, *entry)] = value
+    return stack
+
+
+@pytest.mark.parametrize("function,name", [
+    (correlation_matrix, "two-qubit state"),
+    (chsh_nl, "two-qubit state"),
+    (concurrence, "two-qubit state"),
+    (eig_hermitian, "matrix"),
+    (validate_density, "density matrix"),
+])
+@pytest.mark.parametrize("member", [0, 2])
+def test_bad_member_named_by_index(function, name, member):
+    with pytest.raises(ValidationError, match=re.escape(f"{name} [{member}] is not Hermitian")):
+        function(with_member((0, 1), 0.3, member))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{name} [{member}] has non-finite entries at [(2, 3)]")):
+        function(with_member((2, 3), np.nan, member))
+
+
+def test_density_stack_names_bad_trace_and_negative_eigenvalue():
+    with pytest.raises(ValidationError, match=re.escape("trace [1] = 1.5+0j deviates")):
+        validate_density(with_member((0, 0), 0.75))
+    stack = with_member((0, 0), -0.25, member=2)
+    stack[2, 1, 1] = 0.75
+    with pytest.raises(ValidationError, match=re.escape("negative eigenvalue [2] -2.500e-01")):
+        validate_density(stack)
+
+
+def test_impossible_outcome_named_by_index():
+    obs = ReferenceObservable.computational(2)
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[:, 0, 0] = 1.0        # |00>: the left qubit always reads 0
+    stack[2] = np.eye(4) / 4
+    with pytest.raises(ImpossibleOutcomeError,
+                       match=re.escape("outcome 1 [0] has probability 0.000e+00")):
+        measure_select_joint(stack, (2, 2), obs, 1)
+    with pytest.raises(ImpossibleOutcomeError,
+                       match=re.escape("outcome 1 has probability 0.000e+00")):
+        measure_select_joint(stack[0], (2, 2), obs, 1)
+
+
+def test_gram_stack_names_bad_member():
+    grams = np.array([np.eye(2, dtype=complex)] * 3)
+    grams[1, 0, 1] = grams[1, 1, 0] = 1.5
+    with pytest.raises(ValidationError, match=re.escape(
+            "Gram matrix [1] is not positive semidefinite: eigenvalue -5.000e-01")):
+        InformerModel(AMPS, grams)
+    grams[1] = np.diag([1.0, 0.5])
+    with pytest.raises(ValidationError, match=re.escape("Gram diagonal [1] deviates from 1")):
+        InformerModel(AMPS, grams)
+    with pytest.raises(ValidationError, match=re.escape(
+            "Gram matrix shape (3, 3, 3) does not match 2 branches")):
+        InformerModel(AMPS, np.zeros((3, 3, 3)))
+
+
+def test_single_state_functions_reject_stacks():
+    stack = np.array([np.eye(4, dtype=complex) / 4] * 2)
+    along_z = ChshSettings(Z, Z, Z, Z)
+    for function in (lambda rho: chsh_value(rho, along_z), chsh_bruteforce):
+        with pytest.raises(ValidationError, match=re.escape(
+                "two-qubit state must be 4x4, got shape (2, 4, 4)")):
+            function(stack)
+    with pytest.raises(ValidationError, match=re.escape(
+            "two-qubit state must be 4x4, got shape (3, 3)")):
+        chsh_nl(np.eye(3))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda grid: WernerInput(grid, AMPS), "mixing weight x = {} outside [0, 1]"),
+    (lambda grid: morphing_scan(AMPS, grid), "overlap eta = {} outside [0, 1]"),
+])
+@pytest.mark.parametrize("grid,first", [
+    ([0.2, 1.5, -1.0], "1.5"),
+    ([0.0, -0.25, 2.0], "-0.25"),
+    ([0.5, np.nan], "nan"),
+])
+def test_grid_names_first_out_of_range_value(make, message, grid, first):
+    with pytest.raises(ValidationError, match=re.escape(message.format(first))):
+        make(np.array(grid))
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name,param,label", [
+    ("wave-detector", "x", "mixing weight x"),
+    ("morphing", "eta", "overlap eta"),
+])
+def test_sweep_out_of_range_grid_exits_2_and_writes_nothing(capsys, tmp_path, name, param, label):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "sweep", name, "--param", param, "--start", "0",
+                             "--stop", "2", "--steps", "5", "--eta", "0.5",
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {label} = 1.5 outside [0, 1]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+SWEEPS = [
+    pytest.param("wave-detector", "x", lambda value: wave_detector_run(WernerInput(value, AMPS)),
+                 [], id="wave-detector"),
+    pytest.param("morphing", "eta", lambda value: morphing_scan(AMPS, value), [], id="morphing"),
+    pytest.param("mzi", "phi", lambda value: mzi_run(MziConfig(phi=value)), [], id="mzi"),
+    pytest.param("mzi", "phi", lambda value: mzi_run(MziConfig(phi=value, bs2="absent")),
+                 ["--bs2", "absent"], id="mzi-absent"),
+]
+
+
+def assemble_csv(param, grid, run, q):
+    """The CSV a sweep must write, from one scalar call per grid point."""
+    lines = []
+    for value in grid:
+        report = run(float(value))
+        scalars = dict(report.scalars)
+        if q is not None:
+            principal = cli.SCENARIOS[report.name].principal_state
+            split = measures.duality(report.states[principal].matrix,
+                                     ReferenceObservable.computational(2), q)
+            scalars.update(q=q, wavelike_q=split["wavelike"],
+                           particlelike_q=split["particlelike"])
+        if not lines:
+            lines.append(",".join([param, *scalars]))
+        lines.append(",".join(io.format_float(v) for v in [value, *scalars.values()]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("q", [None, 1.5])
+@pytest.mark.parametrize("name,param,run,flags", SWEEPS)
+def test_sweep_csv_equals_scalar_calls(capsys, tmp_path, name, param, run, flags, q):
+    out_path = tmp_path / "sweep.csv"
+    start, stop = (-1.0, 7.0) if param == "phi" else (0.0, 1.0)
+    argv = ["sweep", name, "--param", param, "--start", repr(start), "--stop", repr(stop),
+            "--steps", "13", "--amp-alpha-re", "0.6", "--amp-beta-im", "0.8",
+            "--out", str(out_path), *flags, *(["--q", repr(q)] if q else [])]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, f"wrote 13 rows to {out_path}\n"), err
+    expected = assemble_csv(param, np.linspace(start, stop, 13), run, q)
+    assert out_path.read_text(encoding="utf-8") == expected
+
+
+def counting_scenarios(monkeypatch):
+    calls = []
+    for name, scenario in cli.SCENARIOS.items():
+        def run(args, inner=scenario.run, name=name):
+            calls.append(name)
+            return inner(args)
+        monkeypatch.setitem(cli.SCENARIOS, name, scenario._replace(run=run))
+    return calls
+
+
+@pytest.mark.parametrize("name,param", [
+    (name, param) for name, scenario in cli.SCENARIOS.items()
+    for param in scenario.sweepable])
+def test_sweep_is_one_call_per_block_and_blocks_are_seamless(
+        capsys, tmp_path, monkeypatch, name, param):
+    steps = cli.SWEEP_BLOCK + 3
+    argv = ["sweep", name, "--param", param, "--start", "0", "--stop", "1",
+            "--steps", str(steps), "--bs2-alpha", "0.5", "--eta", "0.5"]
+    calls = counting_scenarios(monkeypatch)
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "blocks.csv"))
+    assert code == 0, err
+    assert calls == [name, name]
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", steps)
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "one.csv"))
+    assert code == 0, err
+    assert calls == [name] * 3
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_bad_value_in_last_block_leaves_existing_file_untouched(capsys, tmp_path):
+    steps = cli.SWEEP_BLOCK + 3
+    stop = 1.0015
+    grid = np.linspace(0.0, stop, steps)
+    first_bad = int(np.argmax(grid > 1.0))
+    assert first_bad >= cli.SWEEP_BLOCK     # the first block is fine
+    out_path = tmp_path / "wd.csv"
+    out_path.write_text("keep\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "wave-detector", "--param", "x",
+                             "--start", "0", "--stop", repr(stop), "--steps", str(steps),
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: mixing weight x = {float(grid[first_bad])!r} outside [0, 1]\n"
+    assert out_path.read_text(encoding="utf-8") == "keep\n"
+    assert list(tmp_path.iterdir()) == [out_path]

@@ -7,7 +7,8 @@ import numpy as np
 from .states import (
     DEFAULT_TOL,
     ValidationError,
-    _first_failure,
+    _check_spectrum,
+    _reject_first,
     _unstack,
     eig_hermitian,
     hermitian_part,
@@ -65,10 +66,9 @@ class ReferenceObservable:
         return f"ReferenceObservable(dim={self.dim})"
 
 
-def _check_dims(rho, k_obs: ReferenceObservable, stack: bool = False) -> np.ndarray:
+def _check_dims(rho, k_obs: ReferenceObservable) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    shape = rho.shape[-2:] if stack else rho.shape
-    if shape != (k_obs.dim, k_obs.dim):
+    if rho.shape[-2:] != (k_obs.dim, k_obs.dim):
         raise ValidationError(
             f"state shape {rho.shape} does not match observable dimension {k_obs.dim}")
     return rho
@@ -79,7 +79,7 @@ def populations(rho, k_obs: ReferenceObservable) -> np.ndarray:
 
     A stack (..., d, d) of states gives a stack (..., d) of populations.
     """
-    rho = _check_dims(rho, k_obs, stack=True)
+    rho = _check_dims(rho, k_obs)
     u = k_obs.columns
     return np.einsum("ak,...ab,bk->...k", u.conj(), rho, u).real
 
@@ -94,20 +94,23 @@ def dephase(rho, k_obs: ReferenceObservable) -> np.ndarray:
     return (u * populations(rho, k_obs)[..., None, :]) @ u.conj().T
 
 
-def measure_select(rho, k_obs: ReferenceObservable, k: int) -> tuple[np.ndarray, float]:
+def measure_select(rho, k_obs: ReferenceObservable, k: int):
     """Projective measurement with a selected outcome.
 
     Returns the conditional state (the projector on the outcome vector)
-    together with the outcome probability.
+    together with the outcome probability. A stack (..., d, d) shares that
+    projector and gives an array of probabilities; the first member for
+    which the outcome is impossible is named by its index.
     """
     rho = _check_dims(rho, k_obs)
     if not 0 <= k < k_obs.dim:
         raise ValueError(f"outcome index {k} out of range for dimension {k_obs.dim}")
     vec = k_obs.columns[:, k]
-    p = float(np.real(vec.conj() @ rho @ vec))
-    if p < IMPOSSIBLE_OUTCOME_TOL:
-        raise ImpossibleOutcomeError(f"outcome {k} has probability {p:.3e}")
-    return projector(vec), min(p, 1.0)
+    # one (1, d) @ (d, 1) product per member gives a stack the bits of a single state
+    p = np.real((vec.conj() @ rho)[..., None, :] @ vec[:, None])[..., 0, 0]
+    _reject_first(p < IMPOSSIBLE_OUTCOME_TOL, lambda index, at: (
+        f"outcome {k}{at} has probability {p[index]:.3e}"), ImpossibleOutcomeError)
+    return projector(vec), _unstack(np.minimum(p, 1.0))
 
 
 def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
@@ -132,10 +135,8 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     blocks = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     unnormalized = np.einsum("a,...aibj,b->...ij", vec.conj(), blocks, vec)
     p = np.trace(unnormalized, axis1=-2, axis2=-1).real
-    bad = p < IMPOSSIBLE_OUTCOME_TOL
-    if bad.any():
-        index, at = _first_failure(bad)
-        raise ImpossibleOutcomeError(f"outcome {k}{at} has probability {p[index]:.3e}")
+    _reject_first(p < IMPOSSIBLE_OUTCOME_TOL, lambda index, at: (
+        f"outcome {k}{at} has probability {p[index]:.3e}"), ImpossibleOutcomeError)
     conditional = unnormalized / p[..., None, None]
     conditional = (conditional + conditional.conj().swapaxes(-1, -2)) / 2.0
     return conditional, _unstack(np.minimum(p, 1.0))
@@ -145,9 +146,14 @@ def purify(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Pure bipartite vector whose left marginal reproduces rho.
 
     Uses the spectral form sum_i sqrt(l_i) |v_i>|i>, keeping eigenvalues
-    above 1e-12 only, so the ancilla dimension equals the rank.
+    above 1e-12 only, so the ancilla dimension equals the rank. rho must be
+    one density matrix; tol bounds its deviation from Hermiticity.
     """
-    w, v = eig_hermitian(np.asarray(rho, dtype=complex), tol=tol)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim > 2:
+        raise ValidationError(f"state must be one matrix, got a stack of shape {rho.shape}")
+    w, v = eig_hermitian(rho, tol=tol)
+    _check_spectrum(w[::-1])
     keep = w > PURIFY_RANK_TOL
     amplitudes = np.sqrt(w[keep])
     vectors = v[:, keep]
@@ -172,18 +178,12 @@ class InformerModel:
                 f"Gram matrix shape {g.shape} does not match {n} branches")
         g = hermitian_part(g, tol, "Gram matrix")
         diag_dev = np.abs(np.diagonal(g, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
-        bad = diag_dev > tol
-        if bad.any():
-            index, at = _first_failure(bad)
-            raise ValidationError(
-                f"Gram diagonal{at} deviates from 1 by {diag_dev[index]:.3e}, "
-                "informer states must be normalized")
+        _reject_first(diag_dev > tol, lambda index, at: (
+            f"Gram diagonal{at} deviates from 1 by {diag_dev[index]:.3e}, "
+            "informer states must be normalized"))
         smallest = np.linalg.eigvalsh(g)[..., 0]
-        bad = smallest < -tol
-        if bad.any():
-            index, at = _first_failure(bad)
-            raise ValidationError(
-                f"Gram matrix{at} is not positive semidefinite: eigenvalue {smallest[index]:.3e}")
+        _reject_first(smallest < -tol, lambda index, at: (
+            f"Gram matrix{at} is not positive semidefinite: eigenvalue {smallest[index]:.3e}"))
         self.amplitudes = c
         self.gram = g
 

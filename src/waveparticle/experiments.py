@@ -9,6 +9,7 @@ import numpy as np
 
 from . import measures
 from .channels import (
+    IMPOSSIBLE_OUTCOME_TOL,
     ImpossibleOutcomeError,
     InformerModel,
     ReferenceObservable,
@@ -19,6 +20,7 @@ from .nonlocality import chsh_nl, concurrence, linear_entanglement
 from .states import (
     BipartiteSplit,
     ValidationError,
+    _reject_first,
     _unstack,
     basis_state,
     partial_trace,
@@ -71,9 +73,8 @@ def recombined_state(phi: float) -> np.ndarray:
 def _checked_phase(phi) -> np.ndarray:
     """Finite phases reduced modulo 2 pi; the first non-finite one is named."""
     phi = np.asarray(phi, dtype=float)
-    bad = ~np.isfinite(phi)
-    if bad.any():
-        raise ValidationError(f"phase phi = {float(phi[bad][0])!r} is not finite")
+    _reject_first(~np.isfinite(phi), lambda index, at: (
+        f"phase phi = {float(phi[index])!r} is not finite"))
     return phi % _TWO_PI
 
 
@@ -81,14 +82,9 @@ def _checked_range(values, label: str, shown: str = "[0, 1]",
                    high: float = 1.0) -> np.ndarray:
     """Values in [0, high]; the first one outside (NaN included) is named."""
     values = np.asarray(values, dtype=float)
-    bad = ~((0.0 <= values) & (values <= high))
-    if bad.any():
-        raise ValidationError(f"{label} = {float(values[bad][0])!r} outside {shown}")
+    _reject_first(~((0.0 <= values) & (values <= high)), lambda index, at: (
+        f"{label} = {float(values[index])!r} outside {shown}"))
     return values
-
-
-def _checked_splitter_angle(alpha) -> np.ndarray:
-    return _checked_range(alpha, "bs2_alpha", "[0, pi/2]", np.pi / 2.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -96,26 +92,17 @@ class MziConfig:
     """Interferometer configuration: relative phase and output splitter mode.
 
     The phase (or an array of phases) must be finite and is reduced modulo
-    2 pi at construction. The splitter mode is 'present', 'absent', or
-    'superposed'; the last needs bs2_alpha in [0, pi/2] setting the amplitude
-    on the acting branch.
+    2 pi at construction. The splitter mode is 'present' or 'absent'; a
+    splitter in superposition is dce_analyze's scenario.
     """
 
     phi: float | np.ndarray
     bs2: str = "present"
-    bs2_alpha: float | None = None
 
     def __post_init__(self):
-        if self.bs2 not in ("present", "absent", "superposed"):
+        if self.bs2 not in ("present", "absent"):
             raise ValidationError(f"unknown bs2 mode {self.bs2!r}")
         object.__setattr__(self, "phi", _unstack(_checked_phase(self.phi)))
-        if self.bs2 == "superposed":
-            if self.bs2_alpha is None:
-                raise ValidationError("bs2_alpha is required when bs2 is superposed")
-            alpha = float(_checked_splitter_angle(float(self.bs2_alpha)))
-            object.__setattr__(self, "bs2_alpha", alpha)
-        elif self.bs2_alpha is not None:
-            raise ValidationError("bs2_alpha is only meaningful for the superposed mode")
 
 
 class ReportState(NamedTuple):
@@ -150,8 +137,6 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
     state are evaluated in the path basis. An array of phases gives arrays
     of scalars and stacks of states over the grid.
     """
-    if config.bs2 == "superposed":
-        raise ValidationError("a superposed output splitter is handled by dce_analyze")
     obs = path_basis(2)
     mid = phase_shifter(config.phi) @ (BEAM_SPLITTER @ basis_state(2, 0))
     pre_detector = (BEAM_SPLITTER @ mid[..., None])[..., 0] if config.bs2 == "present" else mid
@@ -186,7 +171,7 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     index of the first offending state.
     """
     phase = _checked_phase(phi)
-    alpha = _checked_splitter_angle(bs2_alpha)
+    alpha = _checked_range(bs2_alpha, "bs2_alpha", "[0, pi/2]", np.pi / 2.0 + 1e-12)
     control = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1).astype(complex)
     start = tensor(basis_state(2, 0), control)
     inside = tensor(phase_shifter(phase) @ BEAM_SPLITTER, _EYE2)
@@ -291,7 +276,7 @@ def measurement_model(amplitudes, perspective: str,
         if not 0 <= outcome < branches:
             raise ValueError(f"outcome index {outcome} out of range")
         p = float(probabilities[outcome])
-        if p < 1e-12:
+        if p < IMPOSSIBLE_OUTCOME_TOL:
             raise ImpossibleOutcomeError(f"outcome {outcome} has probability {p:.3e}")
         rho_q = projector(basis_state(branches, outcome))
         rho_pointer = projector(basis_state(branches, outcome))

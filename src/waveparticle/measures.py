@@ -8,7 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ReferenceObservable, dephase, populations
-from .states import ValidationError, _clamp, _unstack, eig_hermitian, hermitian_part
+from .states import (
+    ValidationError,
+    _check_spectrum,
+    _clamp,
+    _unstack,
+    eig_hermitian,
+    hermitian_part,
+)
 
 FULL_RANK_TOL = 1e-12
 _LOG_FLOOR = 1e-15
@@ -44,10 +51,11 @@ def tsallis_entropy(rho, q: float = 1.0):
     ln_q(x) = expm1((q - 1) ln x)/(q - 1) is continuous in q, with the limit
     ln x taken at q = 1 exactly. Eigenvalues at or below 1e-15 contribute
     nothing at every order. A float for one matrix, an array for a stack
-    (..., d, d).
+    (..., d, d). A spectrum that does not sum to 1 or has an eigenvalue
+    below -1e-9 is rejected.
     """
     q = _check_q(q)
-    lam = np.linalg.eigvalsh(hermitian_part(rho, name="state"))
+    lam = _check_spectrum(np.linalg.eigvalsh(hermitian_part(rho, name="state")))
     return _unstack(_spectral_entropy(lam, q))
 
 
@@ -93,7 +101,8 @@ def duality(rho, k_obs: ReferenceObservable, q: float = 1.0) -> dict:
     value is then an array over the stack instead of a float."""
     q = _check_q(q)
     rho = hermitian_part(rho, name="state")
-    spectra = np.array([np.linalg.eigvalsh(rho), np.sort(populations(rho, k_obs))])
+    lam = _check_spectrum(np.linalg.eigvalsh(rho))
+    spectra = np.array([lam, np.sort(populations(rho, k_obs))])
     entropy, dephased_entropy = _spectral_entropy(spectra, q)
     dephased_information, wavelike = _clamp(np.array([
         max_entropy(k_obs.dim, q) - dephased_entropy, dephased_entropy - entropy]))
@@ -121,11 +130,15 @@ def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0) -> flo
     Evaluates Tr[(rho - dephased) f'(rho)] where f is the spectral density
     of the order-q information, f'(lam) = 1 + q ln_q(lam). That slope diverges
     at a zero eigenvalue for q <= 1, so the state must be full rank there; for
-    q > 1 a zero eigenvalue takes the limit ln_q(0) = -1/(q - 1).
+    q > 1 a zero eigenvalue takes the limit ln_q(0) = -1/(q - 1). rho must
+    be one density matrix.
     """
     q = _check_q(q)
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim > 2:
+        raise ValidationError(f"state must be one matrix, got a stack of shape {rho.shape}")
     w, v = eig_hermitian(rho)
+    _check_spectrum(w[::-1])
     if q <= 1.0 and float(w.min()) <= FULL_RANK_TOL:
         raise ValueError(
             f"state must be full rank for order q = {q}: min eigenvalue {float(w.min()):.3e}")

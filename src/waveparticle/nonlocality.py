@@ -29,9 +29,9 @@ _PAULI_PRODUCTS.setflags(write=False)
 _UNIT_EPS = 1e-14
 
 
-def _check_two_qubit(rho, stack: bool = False) -> np.ndarray:
+def _check_two_qubit(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if not (rho.ndim == 2 or stack and rho.ndim > 2) or rho.shape[-2:] != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValidationError(f"two-qubit state must be 4x4, got shape {rho.shape}")
     return hermitian_part(rho, name="two-qubit state")
 
@@ -41,7 +41,7 @@ def correlation_matrix(rho) -> np.ndarray:
 
     A stack (..., 4, 4) of states gives a stack (..., 3, 3) of tensors.
     """
-    rho = _check_two_qubit(rho, stack=True)
+    rho = _check_two_qubit(rho)
     return np.einsum("...ab,ijba->...ij", rho, _PAULI_PRODUCTS).real
 
 
@@ -88,10 +88,10 @@ def chsh_operator(settings: ChshSettings) -> np.ndarray:
             + np.kron(_bloch_operator(settings.a_prime), _bloch_operator(minus)))
 
 
-def chsh_value(rho, settings: ChshSettings) -> float:
-    """Expectation of the Bell operator on a two-qubit state."""
+def chsh_value(rho, settings: ChshSettings):
+    """Bell operator expectation: a float for one state, an array for a stack."""
     rho = _check_two_qubit(rho)
-    return float(np.trace(rho @ chsh_operator(settings)).real)
+    return _unstack(np.trace(rho @ chsh_operator(settings), axis1=-2, axis2=-1).real)
 
 
 def _unit_rows(rows: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -104,7 +104,7 @@ def _unit_rows(rows: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200,
                     seed: int = 0) -> float:
-    """Best CHSH value found by random-restart alternating ascent.
+    """Best CHSH value of one state found by random-restart alternating ascent.
 
     With one side held fixed the optimum on the other side is the normalized
     image of the setting combination under the correlation tensor, so every
@@ -117,6 +117,8 @@ def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rho = _check_two_qubit(rho)
+    if rho.ndim != 2:
+        raise ValidationError(f"two-qubit state must be 4x4, got shape {rho.shape}")
     t = correlation_matrix(rho)
     rng = np.random.default_rng(seed)
     default = np.tile(np.array([0.0, 0.0, 1.0]), (restarts, 1))
@@ -153,7 +155,7 @@ def concurrence(rho):
     noise near zero. A float for one state; a stack (..., 4, 4) gives an
     array from one batched eig_hermitian and svd.
     """
-    rho = _check_two_qubit(rho, stack=True)
+    rho = _check_two_qubit(rho)
     w, v = eig_hermitian(rho)
     factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     core = factor.swapaxes(-1, -2) @ _SPIN_FLIP @ factor

@@ -57,18 +57,19 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _require_square(m: np.ndarray, name: str = "matrix", stack: bool = False) -> None:
-    if not (m.ndim == 2 or stack and m.ndim > 2) or m.shape[-1] != m.shape[-2]:
+def _require_square(m: np.ndarray, name: str = "matrix") -> None:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
 
 
-def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
-    """Index of the first failing member of a stack, and ' [i]' naming it.
+def _reject_first(bad: np.ndarray, message, error=ValidationError) -> None:
+    """Raise error(message(index, at)) naming the first True member of bad.
 
-    A single matrix or vector has the empty index and name.
+    at is ' [i, j]' for that member's index, empty for a single (0-d) input.
     """
-    index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-    return index, f" {list(index)}" if index else ""
+    if np.count_nonzero(bad):  # about 1 us; bad.any() takes about 2 us, np.any 5
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise error(message(index, f" {list(index)}" if index else ""))
 
 
 def _unstack(values: np.ndarray):
@@ -79,6 +80,19 @@ def _unstack(values: np.ndarray):
 def _clamp(values) -> np.ndarray:
     """max(0.0, v) elementwise: NaN and -0.0 become 0.0, as the builtin does."""
     return np.fmax(values, 0.0) + 0.0
+
+
+def _check_spectrum(lam: np.ndarray) -> np.ndarray:
+    """Check ascending spectra (..., d) of density matrices: each sums to 1
+    and has no eigenvalue below 0, within DEFAULT_TOL; the first failing
+    member of a stack is named by its index."""
+    total = lam.sum(axis=-1)
+    smallest = lam[..., 0]
+    ok = (abs(total - 1.0) <= DEFAULT_TOL) & (smallest >= -DEFAULT_TOL)
+    _reject_first(~ok, lambda index, at: (
+        f"state{at} is not a density matrix: eigenvalues sum to {float(total[index])!r}, "
+        f"smallest {float(smallest[index]):.3e} (tolerance {DEFAULT_TOL:.1e})"))
+    return lam
 
 
 def partial_trace(rho, split, keep: int) -> np.ndarray:
@@ -94,7 +108,7 @@ def partial_trace(rho, split, keep: int) -> np.ndarray:
         0 keeps the left factor, 1 keeps the right one.
     """
     rho = np.asarray(rho, dtype=complex)
-    _require_square(rho, stack=True)
+    _require_square(rho)
     dim_a, dim_b = int(split[0]), int(split[1])
     if dim_a < 1 or dim_b < 1 or rho.shape[-1] != dim_a * dim_b:
         raise ValidationError(
@@ -115,19 +129,19 @@ def hermitian_part(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndar
     before the difference is taken, so inf - inf raises no RuntimeWarning.
     """
     m = np.asarray(m, dtype=complex)
-    _require_square(m, name, stack=True)
+    _require_square(m, name)
     if not np.isfinite(m).all():
-        index, at = _first_failure(~np.isfinite(m).all(axis=(-2, -1)))
-        bad = [tuple(int(i) for i in ij) for ij in np.argwhere(~np.isfinite(m[index]))]
-        more = " ..." if len(bad) > 4 else ""
-        raise ValidationError(f"{name}{at} has non-finite entries at {bad[:4]}{more}")
+        def non_finite(index, at):
+            bad = [tuple(int(i) for i in ij) for ij in np.argwhere(~np.isfinite(m[index]))]
+            more = " ..." if len(bad) > 4 else ""
+            return f"{name}{at} has non-finite entries at {bad[:4]}{more}"
+        _reject_first(~np.isfinite(m).all(axis=(-2, -1)), non_finite)
     adjoint = m.conj().swapaxes(-1, -2)
     deviation = np.abs(m - adjoint)
     if not float(np.max(deviation)) <= tol:
         worst = deviation.max(axis=(-2, -1))
-        index, at = _first_failure(worst > tol)
-        raise ValidationError(
-            f"{name}{at} is not Hermitian: max |M - M^H| = {worst[index]:.3e} exceeds {tol:.1e}")
+        _reject_first(worst > tol, lambda index, at: (
+            f"{name}{at} is not Hermitian: max |M - M^H| = {worst[index]:.3e} exceeds {tol:.1e}"))
     return (m + adjoint) / 2.0
 
 
@@ -156,7 +170,7 @@ def hs_norm_sq(m):
     A float for one matrix, an array for a stack (..., d, d).
     """
     m = np.asarray(m, dtype=complex)
-    _require_square(m, stack=True)
+    _require_square(m)
     return _unstack(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
@@ -173,11 +187,8 @@ def _check_unit_norm(psi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check each vector along the last axis for unit norm; the first failing
     member of a stack is named by its index."""
     norm_sq = np.sum(np.abs(psi) ** 2, axis=-1)
-    bad = ~(np.abs(norm_sq - 1.0) <= tol)
-    if bad.any():
-        index, at = _first_failure(bad)
-        raise ValidationError(
-            f"state{at} norm^2 = {float(norm_sq[index])!r} deviates from 1 beyond {tol:.1e}")
+    _reject_first(~(np.abs(norm_sq - 1.0) <= tol), lambda index, at: (
+        f"state{at} norm^2 = {float(norm_sq[index])!r} deviates from 1 beyond {tol:.1e}"))
     return psi
 
 
@@ -191,18 +202,12 @@ def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     rho = hermitian_part(rho, tol, "density matrix")
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    bad = np.abs(trace - 1.0) > tol
-    if bad.any():
-        index, at = _first_failure(bad)
-        raise ValidationError(
-            f"trace{at} = {complex(trace[index]):.12g} deviates from 1 beyond {tol:.1e}")
+    _reject_first(np.abs(trace - 1.0) > tol, lambda index, at: (
+        f"trace{at} = {complex(trace[index]):.12g} deviates from 1 beyond {tol:.1e}"))
     w, v = eig_hermitian(rho, tol=tol)
     smallest = w[..., -1]
-    bad = smallest < -tol
-    if bad.any():
-        index, at = _first_failure(bad)
-        raise ValidationError(
-            f"negative eigenvalue{at} {float(smallest[index]):.3e} beyond -{tol:.1e}")
+    _reject_first(smallest < -tol, lambda index, at: (
+        f"negative eigenvalue{at} {float(smallest[index]):.3e} beyond -{tol:.1e}"))
     w = np.clip(w, 0.0, 1.0)
     fixed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,15 @@ class TestPurify:
         psi = purify(projector(vec))
         assert psi.size == 2
         np.testing.assert_allclose(projector(psi), projector(vec), atol=1e-10)
+
+    @pytest.mark.parametrize("spectrum,shown", [
+        ([2.0, -1.0], "sum to 1.0, smallest -1.000e+00"),
+        ([0.5, 0.6], "sum to 1.1, smallest 5.000e-01"),
+    ])
+    def test_rejects_what_no_state_marginal_can_be(self, spectrum, shown):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"state is not a density matrix: eigenvalues {shown}")):
+            purify(np.diag(spectrum))
 
 
 class TestInformer:

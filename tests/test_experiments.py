@@ -64,24 +64,15 @@ class TestMziConfig:
         assert MziConfig(phi=-np.pi / 2).phi == pytest.approx(3 * np.pi / 2)
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            MziConfig(phi=0.0, bs2="sideways")
+        for mode in ("sideways", "superposed"):
+            with pytest.raises(ValidationError, match=f"unknown bs2 mode '{mode}'"):
+                MziConfig(phi=0.0, bs2=mode)
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_phase(self, phi):
         with pytest.raises(ValidationError, match="not finite"):
             MziConfig(phi=phi)
 
-    def test_superposed_needs_alpha(self):
-        with pytest.raises(ValidationError):
-            MziConfig(phi=0.0, bs2="superposed")
-        with pytest.raises(ValidationError):
-            MziConfig(phi=0.0, bs2="superposed", bs2_alpha=2.0)
-        assert MziConfig(phi=0.0, bs2="superposed", bs2_alpha=0.3).bs2_alpha == 0.3
-
-    def test_alpha_forbidden_otherwise(self):
-        with pytest.raises(ValidationError):
-            MziConfig(phi=0.0, bs2="present", bs2_alpha=0.3)
 
 
 class TestMzi:
@@ -109,10 +100,6 @@ class TestMzi:
         report = mzi_run(MziConfig(phi=0.37, bs2="present"))
         total = report.scalars["p_detector_0"] + report.scalars["p_detector_1"]
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_superposed_mode_refused(self):
-        with pytest.raises(ValidationError):
-            mzi_run(MziConfig(phi=0.0, bs2="superposed", bs2_alpha=0.1))
 
     def test_report_shape(self):
         report = mzi_run(MziConfig(phi=1.0))

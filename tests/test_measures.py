@@ -327,6 +327,66 @@ def test_stack_with_one_bad_member_rejected(measure, defect, entries, message, m
         measure(stack)
 
 
+# every public measure of one state; each reaches _check_spectrum
+BOUNDARY_MEASURES = [
+    lambda rho, obs, q: measures.tsallis_entropy(rho, q),
+    lambda rho, obs, q: measures.information(rho, q),
+    lambda rho, obs, q: list(measures.duality(rho, obs, q).values()),
+    measures.wavelike_info,
+    measures.particlelike_info,
+    lambda rho, obs, q: measures.work(rho),
+]
+
+
+def density_input(rng, dim, size):
+    """One density matrix for size 0, else a stack of size members of mixed rank."""
+    if size == 0:
+        return random_density(dim, rng)
+    return np.array([random_density(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                     for _ in range(size)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(0, 4),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_density_input_gives_finite_output(seed, dim, size, q):
+    rng = np.random.default_rng(seed)
+    rho = density_input(rng, dim, size)
+    obs = random_basis(dim, rng)
+    for measure in BOUNDARY_MEASURES:
+        assert np.isfinite(measure(rho, obs, q)).all()
+    if size == 0:
+        assert np.isfinite(measures.wavelike_upper_bound(rho, obs, q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(0, 4),
+       st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from(["negative", "above", "below"]),
+       st.floats(1e-6, 10.0))
+def test_unnormalized_or_negative_input_rejected(seed, dim, size, q, defect, size_of_defect):
+    rng = np.random.default_rng(seed)
+    rho = density_input(rng, dim, size)
+    obs = random_basis(dim, rng)
+    if defect == "negative":    # unit trace, smallest eigenvalue -size_of_defect
+        lam = np.append(rng.dirichlet(np.ones(dim - 1)) * (1.0 + size_of_defect),
+                        -size_of_defect)
+    else:
+        scale = 1.0 + size_of_defect if defect == "above" else 1.0 / (1.0 + size_of_defect)
+        lam = rng.dirichlet(np.ones(dim)) * scale
+    u = random_basis(dim, rng).columns
+    bad = (u * lam) @ u.conj().T
+    member = int(rng.integers(size)) if size else None
+    if member is None:
+        rho = bad
+    else:
+        rho[member] = bad
+    at = "" if member is None else f" [{member}]"
+    checks = BOUNDARY_MEASURES + [measures.wavelike_upper_bound] * (member is None)
+    for measure in checks:
+        with pytest.raises(ValidationError, match=re.escape(f"state{at} is not a density matrix")):
+            measure(rho, obs, q)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
        st.sampled_from([0.5, 1.0 - 2e-6, 1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.0 + 2e-6,

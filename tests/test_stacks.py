@@ -13,7 +13,9 @@ from waveparticle.channels import (
     ImpossibleOutcomeError,
     InformerModel,
     ReferenceObservable,
+    measure_select,
     measure_select_joint,
+    purify,
     reduced_from_informer,
 )
 from waveparticle.experiments import (
@@ -31,7 +33,12 @@ from waveparticle.nonlocality import (
     concurrence,
     correlation_matrix,
 )
-from waveparticle.states import ValidationError, eig_hermitian, validate_density
+from waveparticle.states import (
+    ValidationError,
+    eig_hermitian,
+    hermitian_part,
+    validate_density,
+)
 
 AMPS = np.array([0.6, 0.8j], dtype=complex)
 Z = np.array([0.0, 0.0, 1.0])
@@ -46,6 +53,11 @@ def random_two_qubit(rng, rank):
 def random_qubit(rng):
     amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return amps / np.linalg.norm(amps)
+
+
+def random_basis(rng, dim):
+    return ReferenceObservable(np.linalg.qr(rng.standard_normal((dim, dim))
+                                            + 1j * rng.standard_normal((dim, dim)))[0])
 
 
 def assert_same_bits(stacked, single):
@@ -72,10 +84,13 @@ def test_two_qubit_stack_matches_per_member_loop(seed, size):
     t = correlation_matrix(stack)
     b_max, n_l = chsh_nl(stack)
     conc = concurrence(stack)
-    obs = ReferenceObservable(np.linalg.qr(rng.standard_normal((2, 2))
-                                           + 1j * rng.standard_normal((2, 2)))[0])
+    obs = random_basis(rng, 2)
     clicks = [measure_select_joint(stack, (2, 2), obs, k) for k in (0, 1)]
-    assert conc.shape == b_max.shape == n_l.shape == (size,)
+    basis, outcome = random_basis(rng, 4), int(rng.integers(4))
+    selected, p_selected = measure_select(stack, basis, outcome)
+    directions = ChshSettings(*(v / np.linalg.norm(v) for v in rng.standard_normal((4, 3))))
+    bell = chsh_value(stack, directions)
+    assert conc.shape == b_max.shape == n_l.shape == p_selected.shape == bell.shape == (size,)
     for i, rho in enumerate(stack):
         single_w, single_v = eig_hermitian(rho)
         assert_same_bits(w[i], single_w)
@@ -88,6 +103,10 @@ def test_two_qubit_stack_matches_per_member_loop(seed, size):
             single_conditional, single_p = measure_select_joint(rho, (2, 2), obs, k)
             assert_same_bits(conditional[i], single_conditional)
             assert p[i] == single_p
+        single_selected, single_p_selected = measure_select(rho, basis, outcome)
+        assert_same_bits(selected, single_selected)
+        assert p_selected[i] == single_p_selected
+        assert bell[i] == chsh_value(rho, directions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,8 +141,11 @@ def test_gram_stack_matches_per_member_loop():
 def test_single_inputs_return_floats():
     rho = random_two_qubit(np.random.default_rng(1), 4)
     conditional, p = measure_select_joint(rho, (2, 2), ReferenceObservable.computational(2), 0)
-    assert conditional.shape == (2, 2)
-    assert all(type(value) is float for value in (*chsh_nl(rho), concurrence(rho), p))
+    selected, p_selected = measure_select(rho, ReferenceObservable.computational(4), 0)
+    assert conditional.shape == (2, 2) and selected.shape == (4, 4)
+    bell = chsh_value(rho, ChshSettings(Z, Z, Z, Z))
+    assert all(type(value) is float
+               for value in (*chsh_nl(rho), concurrence(rho), p, p_selected, bell))
     assert correlation_matrix(rho).shape == (3, 3)
 
 
@@ -149,6 +171,28 @@ def test_bad_member_named_by_index(function, name, member):
         function(with_member((2, 3), np.nan, member))
 
 
+def test_two_axis_stack_names_member_by_both_indices():
+    stack = np.array([np.eye(4, dtype=complex) / 4] * 6).reshape(2, 3, 4, 4)
+    for function, name in ((hermitian_part, "matrix"), (validate_density, "density matrix")):
+        bad = stack.copy()
+        bad[1, 2, 0, 1] = 0.3
+        with pytest.raises(ValidationError, match=re.escape(f"{name} [1, 2] is not Hermitian")):
+            function(bad)
+        bad[1, 2, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{name} [1, 2] has non-finite entries at [(0, 1)]")):
+            function(bad)
+    bad = stack.copy()
+    bad[1, 2, 0, 0] = 0.75
+    with pytest.raises(ValidationError, match=re.escape("trace [1, 2] = 1.5+0j deviates")):
+        validate_density(bad)
+    bad = stack.copy()
+    bad[1, 2] = np.diag([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ImpossibleOutcomeError,
+                       match=re.escape("outcome 1 [1, 2] has probability 0.000e+00")):
+        measure_select_joint(bad, (2, 2), ReferenceObservable.computational(2), 1)
+
+
 def test_density_stack_names_bad_trace_and_negative_eigenvalue():
     with pytest.raises(ValidationError, match=re.escape("trace [1] = 1.5+0j deviates")):
         validate_density(with_member((0, 0), 0.75))
@@ -159,16 +203,18 @@ def test_density_stack_names_bad_trace_and_negative_eigenvalue():
 
 
 def test_impossible_outcome_named_by_index():
-    obs = ReferenceObservable.computational(2)
     stack = np.zeros((3, 4, 4), dtype=complex)
-    stack[:, 0, 0] = 1.0        # |00>: the left qubit always reads 0
+    stack[:, 0, 0] = 1.0        # |00>: never |01>, and the left qubit always reads 0
     stack[2] = np.eye(4) / 4
-    with pytest.raises(ImpossibleOutcomeError,
-                       match=re.escape("outcome 1 [0] has probability 0.000e+00")):
-        measure_select_joint(stack, (2, 2), obs, 1)
-    with pytest.raises(ImpossibleOutcomeError,
-                       match=re.escape("outcome 1 has probability 0.000e+00")):
-        measure_select_joint(stack[0], (2, 2), obs, 1)
+    for select in (
+            lambda rho: measure_select_joint(rho, (2, 2), ReferenceObservable.computational(2), 1),
+            lambda rho: measure_select(rho, ReferenceObservable.computational(4), 1)):
+        with pytest.raises(ImpossibleOutcomeError,
+                           match=re.escape("outcome 1 [0] has probability 0.000e+00")):
+            select(stack)
+        with pytest.raises(ImpossibleOutcomeError,
+                           match=re.escape("outcome 1 has probability 0.000e+00")):
+            select(stack[0])
 
 
 def test_gram_stack_names_bad_member():
@@ -187,10 +233,13 @@ def test_gram_stack_names_bad_member():
 
 def test_single_state_functions_reject_stacks():
     stack = np.array([np.eye(4, dtype=complex) / 4] * 2)
-    along_z = ChshSettings(Z, Z, Z, Z)
-    for function in (lambda rho: chsh_value(rho, along_z), chsh_bruteforce):
+    with pytest.raises(ValidationError, match=re.escape(
+            "two-qubit state must be 4x4, got shape (2, 4, 4)")):
+        chsh_bruteforce(stack)
+    obs = ReferenceObservable.computational(4)
+    for function in (purify, lambda rho: measures.wavelike_upper_bound(rho, obs, 2.0)):
         with pytest.raises(ValidationError, match=re.escape(
-                "two-qubit state must be 4x4, got shape (2, 4, 4)")):
+                "state must be one matrix, got a stack of shape (2, 4, 4)")):
             function(stack)
     with pytest.raises(ValidationError, match=re.escape(
             "two-qubit state must be 4x4, got shape (3, 3)")):

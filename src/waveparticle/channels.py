@@ -32,15 +32,15 @@ class ReferenceObservable:
     vectors; orthonormality of a square set already implies completeness.
     """
 
-    def __init__(self, columns, tol: float = DEFAULT_TOL):
+    def __init__(self, columns):
         u = np.asarray(columns, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValidationError(
                 f"basis must be a square matrix of column vectors, got shape {u.shape}")
         deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if not deviation <= tol:
-            raise ValidationError(
-                f"basis is not orthonormal: max |U^H U - 1| = {deviation:.3e} exceeds {tol:.1e}")
+        if not deviation <= DEFAULT_TOL:
+            raise ValidationError(f"basis is not orthonormal: max |U^H U - 1| = "
+                                  f"{deviation:.3e} exceeds {DEFAULT_TOL:.1e}")
         self.columns = u
 
     @property
@@ -52,9 +52,8 @@ class ReferenceObservable:
         return cls(np.eye(dim, dtype=complex))
 
     @classmethod
-    def from_states(cls, vectors, tol: float = DEFAULT_TOL) -> "ReferenceObservable":
-        cols = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-        return cls(cols, tol=tol)
+    def from_states(cls, vectors) -> "ReferenceObservable":
+        return cls(np.column_stack([np.asarray(v, dtype=complex) for v in vectors]))
 
     def vector(self, k: int) -> np.ndarray:
         return self.columns[:, k].copy()
@@ -142,17 +141,17 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     return conditional, _unstack(np.minimum(p, 1.0))
 
 
-def purify(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+def purify(rho) -> np.ndarray:
     """Pure bipartite vector whose left marginal reproduces rho.
 
     Uses the spectral form sum_i sqrt(l_i) |v_i>|i>, keeping eigenvalues
     above 1e-12 only, so the ancilla dimension equals the rank. rho must be
-    one density matrix; tol bounds its deviation from Hermiticity.
+    one density matrix, checked within DEFAULT_TOL like every state.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim > 2:
         raise ValidationError(f"state must be one matrix, got a stack of shape {rho.shape}")
-    w, v = eig_hermitian(rho, tol=tol)
+    w, v = eig_hermitian(rho)
     _check_spectrum(w[::-1])
     keep = w > PURIFY_RANK_TOL
     amplitudes = np.sqrt(w[keep])
@@ -169,20 +168,20 @@ class InformerModel:
     index.
     """
 
-    def __init__(self, amplitudes, gram, tol: float = DEFAULT_TOL):
-        c = validate_pure(amplitudes, tol=tol)
+    def __init__(self, amplitudes, gram):
+        c = validate_pure(amplitudes)
         g = np.asarray(gram, dtype=complex)
         n = c.size
         if g.ndim < 2 or g.shape[-2:] != (n, n):
             raise ValidationError(
                 f"Gram matrix shape {g.shape} does not match {n} branches")
-        g = hermitian_part(g, tol, "Gram matrix")
+        g = hermitian_part(g, name="Gram matrix")
         diag_dev = np.abs(np.diagonal(g, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
-        _reject_first(diag_dev > tol, lambda index, at: (
+        _reject_first(diag_dev > DEFAULT_TOL, lambda index, at: (
             f"Gram diagonal{at} deviates from 1 by {diag_dev[index]:.3e}, "
             "informer states must be normalized"))
         smallest = np.linalg.eigvalsh(g)[..., 0]
-        _reject_first(smallest < -tol, lambda index, at: (
+        _reject_first(smallest < -DEFAULT_TOL, lambda index, at: (
             f"Gram matrix{at} is not positive semidefinite: eigenvalue {smallest[index]:.3e}"))
         self.amplitudes = c
         self.gram = g

@@ -30,19 +30,16 @@ def _check_q(q: float) -> float:
 
 
 def shannon(p) -> float:
-    """Shannon entropy -sum p ln p in nats, with the 0 ln 0 = 0 convention."""
+    """Shannon entropy -sum p ln p in nats, with the 0 ln 0 = 0 convention;
+    p is checked as the spectrum of diag(p), as tsallis_entropy would check it."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError(
             f"probability vector must be 1-d and nonempty, got shape {p.shape}")
-    smallest = float(p.min())
-    if smallest < -1e-12:
-        raise ValidationError(f"negative probability {smallest:.3e}")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    positive = p[p > _LOG_FLOOR]
-    return max(0.0, float(-(positive * np.log(positive)).sum()))
+    if not np.isfinite(p).all():
+        raise ValidationError("probability vector has non-finite entries")
+    _check_spectrum(np.sort(p))
+    return float(_spectral_entropy(p, 1.0))
 
 
 def tsallis_entropy(rho, q: float = 1.0):
@@ -156,21 +153,18 @@ def particlelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class ThermalContext:
-    """Bath temperature and Boltzmann constant for work bookkeeping."""
+    """Bath temperature and Boltzmann constant, positive and finite, for work bookkeeping."""
 
     temperature: float = 1.0
     boltzmann_k: float = 1.0
-    unit_mode: str = "natural"
 
     def __post_init__(self):
-        if self.temperature <= 0 or self.boltzmann_k <= 0:
-            raise ValidationError("temperature and boltzmann_k must be positive")
-        if self.unit_mode not in ("natural", "SI"):
-            raise ValidationError(f"unknown unit mode {self.unit_mode!r}")
+        if not (0 < self.temperature < np.inf and 0 < self.boltzmann_k < np.inf):
+            raise ValidationError("temperature and boltzmann_k must be positive and finite")
 
     @classmethod
     def si(cls, temperature: float) -> "ThermalContext":
-        return cls(temperature=temperature, boltzmann_k=BOLTZMANN_SI, unit_mode="SI")
+        return cls(temperature=temperature, boltzmann_k=BOLTZMANN_SI)
 
 
 NATURAL_UNITS = ThermalContext()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .states import (
+    DEFAULT_TOL,
     ValidationError,
     _check_unit_norm,
     _clamp,
@@ -41,7 +42,10 @@ def correlation_matrix(rho) -> np.ndarray:
 
     A stack (..., 4, 4) of states gives a stack (..., 3, 3) of tensors.
     """
-    rho = _check_two_qubit(rho)
+    return _correlations(_check_two_qubit(rho))
+
+
+def _correlations(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,ijba->...ij", rho, _PAULI_PRODUCTS).real
 
 
@@ -63,14 +67,14 @@ def chsh_nl(rho):
 class ChshSettings:
     """Four Bloch measurement directions, two per side."""
 
-    def __init__(self, a, a_prime, b, b_prime, tol: float = 1e-9):
+    def __init__(self, a, a_prime, b, b_prime):
         stored = []
         for name, vec in (("a", a), ("a_prime", a_prime), ("b", b), ("b_prime", b_prime)):
             arr = np.asarray(vec, dtype=float)
             if arr.shape != (3,):
                 raise ValidationError(f"setting {name} must be a 3-vector")
             norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > tol:
+            if not abs(norm - 1.0) <= DEFAULT_TOL:
                 raise ValidationError(f"setting {name} has norm {norm!r}, expected 1")
             stored.append(arr)
         self.a, self.a_prime, self.b, self.b_prime = stored
@@ -90,7 +94,10 @@ def chsh_operator(settings: ChshSettings) -> np.ndarray:
 
 def chsh_value(rho, settings: ChshSettings):
     """Bell operator expectation: a float for one state, an array for a stack."""
-    rho = _check_two_qubit(rho)
+    return _expectation(_check_two_qubit(rho), settings)
+
+
+def _expectation(rho: np.ndarray, settings: ChshSettings):
     return _unstack(np.trace(rho @ chsh_operator(settings), axis1=-2, axis2=-1).real)
 
 
@@ -119,7 +126,7 @@ def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200,
     rho = _check_two_qubit(rho)
     if rho.ndim != 2:
         raise ValidationError(f"two-qubit state must be 4x4, got shape {rho.shape}")
-    t = correlation_matrix(rho)
+    t = _correlations(rho)
     rng = np.random.default_rng(seed)
     default = np.tile(np.array([0.0, 0.0, 1.0]), (restarts, 1))
     b = _unit_rows(rng.standard_normal((restarts, 3)), default)
@@ -143,7 +150,7 @@ def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200,
     scores = (np.einsum("ri,ij,rj->r", a, t, b + b_prime)
               + np.einsum("ri,ij,rj->r", a_prime, t, b - b_prime))
     i = int(np.argmax(scores))
-    return chsh_value(rho, ChshSettings(a[i], a_prime[i], b[i], b_prime[i]))
+    return _expectation(rho, ChshSettings(a[i], a_prime[i], b[i], b_prime[i]))
 
 
 def concurrence(rho):

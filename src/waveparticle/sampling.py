@@ -25,11 +25,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * diag
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Random density matrix from a Ginibre factor of the given rank."""
-    if rank is None:
-        rank = dim
-    g = _ginibre(rng, dim, rank)
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random full-rank density matrix from a square Ginibre factor."""
+    g = _ginibre(rng, dim, dim)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

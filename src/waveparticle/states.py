@@ -121,8 +121,8 @@ def partial_trace(rho, split, keep: int) -> np.ndarray:
     raise ValueError("keep must be 0 (left factor) or 1 (right factor)")
 
 
-def hermitian_part(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    """Check max |M - M^H| against tol and return (M + M^H)/2.
+def hermitian_part(m, *, name: str = "matrix") -> np.ndarray:
+    """Check max |M - M^H| against DEFAULT_TOL and return (M + M^H)/2.
 
     m is one matrix or a stack (..., d, d) of them; the first failing member
     of a stack is named by its index. NaN and infinite entries are rejected
@@ -138,14 +138,15 @@ def hermitian_part(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndar
         _reject_first(~np.isfinite(m).all(axis=(-2, -1)), non_finite)
     adjoint = m.conj().swapaxes(-1, -2)
     deviation = np.abs(m - adjoint)
-    if not float(np.max(deviation)) <= tol:
+    if not float(np.max(deviation)) <= DEFAULT_TOL:
         worst = deviation.max(axis=(-2, -1))
-        _reject_first(worst > tol, lambda index, at: (
-            f"{name}{at} is not Hermitian: max |M - M^H| = {worst[index]:.3e} exceeds {tol:.1e}"))
+        _reject_first(worst > DEFAULT_TOL, lambda index, at: (
+            f"{name}{at} is not Hermitian: max |M - M^H| = {worst[index]:.3e} "
+            f"exceeds {DEFAULT_TOL:.1e}"))
     return (m + adjoint) / 2.0
 
 
-def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian matrix or a stack (..., d, d).
 
     Eigenvalues come out descending, ties in eigh's order. Each eigenvector
@@ -155,7 +156,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues, matrix of column eigenvectors), stacked alike.
     """
-    w, v = np.linalg.eigh(hermitian_part(m, tol))
+    w, v = np.linalg.eigh(hermitian_part(m))
     first = np.argmax(np.abs(v) > _PHASE_EPS, axis=-2)[..., None, :]
     pivot = np.take_along_axis(v, first, axis=-2)
     v = v * (np.abs(pivot) / pivot)
@@ -174,40 +175,40 @@ def hs_norm_sq(m):
     return _unstack(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
-def validate_pure(psi, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_pure(psi) -> np.ndarray:
     """Check normalization of an amplitude vector and return it as complex."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size == 0:
         raise ValidationError(
             f"amplitude vector must be 1-d and nonempty, got shape {psi.shape}")
-    return _check_unit_norm(psi, tol)
+    return _check_unit_norm(psi)
 
 
-def _check_unit_norm(psi: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _check_unit_norm(psi: np.ndarray) -> np.ndarray:
     """Check each vector along the last axis for unit norm; the first failing
     member of a stack is named by its index."""
     norm_sq = np.sum(np.abs(psi) ** 2, axis=-1)
-    _reject_first(~(np.abs(norm_sq - 1.0) <= tol), lambda index, at: (
-        f"state{at} norm^2 = {float(norm_sq[index])!r} deviates from 1 beyond {tol:.1e}"))
+    _reject_first(~(np.abs(norm_sq - 1.0) <= DEFAULT_TOL), lambda index, at: (
+        f"state{at} norm^2 = {float(norm_sq[index])!r} deviates from 1 beyond {DEFAULT_TOL:.1e}"))
     return psi
 
 
-def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Certify a density matrix, repairing violations that stay within tol.
+def validate_density(rho) -> np.ndarray:
+    """Certify a density matrix, repairing violations that stay within DEFAULT_TOL.
 
     Hermiticity, unit trace and positivity are checked first; eigenvalues
     are then clipped to [0, 1] and the trace renormalized, which removes
     floating point dust without masking real violations. A stack (..., d, d)
     is certified member by member; the first failing one is named by its index.
     """
-    rho = hermitian_part(rho, tol, "density matrix")
+    rho = hermitian_part(rho, name="density matrix")
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    _reject_first(np.abs(trace - 1.0) > tol, lambda index, at: (
-        f"trace{at} = {complex(trace[index]):.12g} deviates from 1 beyond {tol:.1e}"))
-    w, v = eig_hermitian(rho, tol=tol)
+    _reject_first(np.abs(trace - 1.0) > DEFAULT_TOL, lambda index, at: (
+        f"trace{at} = {complex(trace[index]):.12g} deviates from 1 beyond {DEFAULT_TOL:.1e}"))
+    w, v = eig_hermitian(rho)
     smallest = w[..., -1]
-    _reject_first(smallest < -tol, lambda index, at: (
-        f"negative eigenvalue{at} {float(smallest[index]):.3e} beyond -{tol:.1e}"))
+    _reject_first(smallest < -DEFAULT_TOL, lambda index, at: (
+        f"negative eigenvalue{at} {float(smallest[index]):.3e} beyond -{DEFAULT_TOL:.1e}"))
     w = np.clip(w, 0.0, 1.0)
     fixed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]

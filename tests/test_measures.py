@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveparticle import measures
-from waveparticle.channels import ReferenceObservable, dephase
-from waveparticle.states import ValidationError, basis_state, hermitian_part, projector
+from waveparticle.channels import ReferenceObservable, dephase, purify
+from waveparticle.states import (
+    ValidationError,
+    basis_state,
+    hermitian_part,
+    projector,
+    validate_density,
+)
 
 RNG = np.random.default_rng(303)
 
@@ -51,6 +57,31 @@ class TestShannon:
             measures.shannon([0.5, 0.6])
         with pytest.raises(ValidationError):
             measures.shannon([1.2, -0.2])
+
+
+@pytest.mark.parametrize("p,accepted", [
+    ([1 + 5e-10, -5e-10], True),
+    ([1 + 2e-9, -2e-9], False),
+    ([np.nan, 1.0], False),
+    ([np.inf, -np.inf], False),
+], ids=["within_tolerance", "beyond_tolerance", "nan", "inf"])
+def test_one_rule_for_distributions_and_states(p, accepted):
+    """shannon(p) passes or fails exactly where the spectrum checks of diag(p) do."""
+    rho = np.diag(p).astype(complex)
+    checks = {
+        "shannon": lambda: measures.shannon(p),
+        "tsallis_entropy": lambda: measures.tsallis_entropy(rho),
+        "purify": lambda: purify(rho),
+        "validate_density": lambda: validate_density(rho),
+    }
+    verdicts = {}
+    for name, check in checks.items():
+        try:
+            check()
+            verdicts[name] = True
+        except ValidationError:
+            verdicts[name] = False
+    assert verdicts == dict.fromkeys(checks, accepted)
 
 
 class TestTsallisEntropy:
@@ -251,6 +282,12 @@ class TestThermal:
     def test_context_validation(self):
         with pytest.raises(ValidationError):
             measures.ThermalContext(temperature=-1.0)
+
+    @pytest.mark.parametrize("field", ["temperature", "boltzmann_k"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_context_rejects_non_finite(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            measures.ThermalContext(**{field: value})
 
 
 @pytest.mark.parametrize("measure", [

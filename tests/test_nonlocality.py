@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from waveparticle import nonlocality
 from waveparticle.nonlocality import (
     PAULIS,
     SIGMA_Y,
@@ -17,6 +18,7 @@ from waveparticle.states import (
     BipartiteSplit,
     ValidationError,
     basis_state,
+    hermitian_part,
     partial_trace,
     projector,
     tensor,
@@ -137,6 +139,13 @@ def test_chsh_settings_validation():
         ChshSettings(np.zeros(2), z, z, z)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_chsh_settings_reject_non_finite_direction(value):
+    z = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValidationError, match="setting b has norm"):
+        ChshSettings(z, z, np.array([value, 0.0, 0.0]), z)
+
+
 def test_bruteforce_matches_closed_form():
     for _ in range(10):
         rho = random_two_qubit()
@@ -149,6 +158,20 @@ def test_bruteforce_matches_closed_form():
 def test_bruteforce_is_deterministic():
     rho = random_two_qubit()
     assert chsh_bruteforce(rho, seed=5) == chsh_bruteforce(rho, seed=5)
+
+
+def test_bruteforce_checks_hermiticity_once(monkeypatch):
+    rho = random_two_qubit()
+    expected = chsh_bruteforce(rho)
+    calls = []
+
+    def counting(m, **kwargs):
+        calls.append(kwargs)
+        return hermitian_part(m, **kwargs)
+
+    monkeypatch.setattr(nonlocality, "hermitian_part", counting)
+    assert chsh_bruteforce(rho) == expected
+    assert len(calls) == 1
 
 
 def _canonical_settings():

@@ -140,6 +140,11 @@ def test_non_finite_matrix_rejected(value, entry):
             check(bad)
 
 
+def test_hermitian_part_name_is_keyword_only():
+    with pytest.raises(TypeError):
+        hermitian_part(np.eye(2), 1e-3)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_validate_pure_rejects_non_finite(value):
     with pytest.raises(ValidationError, match="norm"):

@@ -30,22 +30,26 @@ class ReferenceObservable:
 
     The basis is stored as a square matrix whose columns are the basis
     vectors; orthonormality of a square set already implies completeness.
+    columns may be a stack (..., d, d) of bases: the maps below then pair
+    basis i with state i of a stack, and the first basis that is not
+    orthonormal is named by its index.
     """
 
     def __init__(self, columns):
         u = np.asarray(columns, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
             raise ValidationError(
                 f"basis must be a square matrix of column vectors, got shape {u.shape}")
-        deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if not deviation <= DEFAULT_TOL:
-            raise ValidationError(f"basis is not orthonormal: max |U^H U - 1| = "
-                                  f"{deviation:.3e} exceeds {DEFAULT_TOL:.1e}")
+        gram = u.conj().swapaxes(-1, -2) @ u
+        deviation = np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+        _reject_first(~(deviation <= DEFAULT_TOL), lambda index, at: (
+            f"basis{at} is not orthonormal: max |U^H U - 1| = "
+            f"{deviation[index]:.3e} exceeds {DEFAULT_TOL:.1e}"))
         self.columns = u
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[0]
+        return self.columns.shape[-1]
 
     @classmethod
     def computational(cls, dim: int) -> "ReferenceObservable":
@@ -56,10 +60,10 @@ class ReferenceObservable:
         return cls(np.column_stack([np.asarray(v, dtype=complex) for v in vectors]))
 
     def vector(self, k: int) -> np.ndarray:
-        return self.columns[:, k].copy()
+        return self.columns[..., :, k].copy()
 
     def projector(self, k: int) -> np.ndarray:
-        return projector(self.columns[:, k])
+        return projector(self.columns[..., :, k])
 
     def __repr__(self) -> str:
         return f"ReferenceObservable(dim={self.dim})"
@@ -73,24 +77,41 @@ def _check_dims(rho, k_obs: ReferenceObservable) -> np.ndarray:
     return rho
 
 
+def _one_basis(k_obs: ReferenceObservable) -> np.ndarray:
+    """The basis of an observable that must not be a stack of bases."""
+    if k_obs.columns.ndim > 2:
+        raise ValidationError(f"a selected outcome needs one basis, "
+                              f"got a stack of shape {k_obs.columns.shape}")
+    return k_obs.columns
+
+
 def populations(rho, k_obs: ReferenceObservable) -> np.ndarray:
     """Outcome probabilities <k|rho|k>, which are the dephased state's spectrum.
 
     A stack (..., d, d) of states gives a stack (..., d) of populations.
+    rho must be finite and Hermitian within DEFAULT_TOL.
     """
-    rho = _check_dims(rho, k_obs)
+    return _populations(hermitian_part(_check_dims(rho, k_obs), name="state"), k_obs)
+
+
+def _populations(rho: np.ndarray, k_obs: ReferenceObservable) -> np.ndarray:
     u = k_obs.columns
-    return np.einsum("ak,...ab,bk->...k", u.conj(), rho, u).real
+    return np.einsum("...ak,...ab,...bk->...k", u.conj(), rho, u).real
 
 
 def dephase(rho, k_obs: ReferenceObservable) -> np.ndarray:
     """Unread measurement of the reference observable.
 
     Keeps the populations on the reference basis and kills every coherence
-    between distinct basis states. A stack (..., d, d) gives a stack.
+    between distinct basis states. A stack (..., d, d) gives a stack. rho
+    must be finite and Hermitian within DEFAULT_TOL.
     """
+    return _dephase(hermitian_part(_check_dims(rho, k_obs), name="state"), k_obs)
+
+
+def _dephase(rho: np.ndarray, k_obs: ReferenceObservable) -> np.ndarray:
     u = k_obs.columns
-    return (u * populations(rho, k_obs)[..., None, :]) @ u.conj().T
+    return (u * _populations(rho, k_obs)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def measure_select(rho, k_obs: ReferenceObservable, k: int):
@@ -102,9 +123,10 @@ def measure_select(rho, k_obs: ReferenceObservable, k: int):
     which the outcome is impossible is named by its index.
     """
     rho = _check_dims(rho, k_obs)
+    basis = _one_basis(k_obs)
     if not 0 <= k < k_obs.dim:
         raise ValueError(f"outcome index {k} out of range for dimension {k_obs.dim}")
-    vec = k_obs.columns[:, k]
+    vec = basis[:, k]
     # one (1, d) @ (d, 1) product per member gives a stack the bits of a single state
     p = np.real((vec.conj() @ rho)[..., None, :] @ vec[:, None])[..., 0, 0]
     _reject_first(p < IMPOSSIBLE_OUTCOME_TOL, lambda index, at: (
@@ -128,9 +150,10 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     if k_obs.dim != dim_a:
         raise ValidationError(
             f"observable dimension {k_obs.dim} does not match measured factor {dim_a}")
+    basis = _one_basis(k_obs)
     if not 0 <= k < dim_a:
         raise ValueError(f"outcome index {k} out of range for dimension {dim_a}")
-    vec = k_obs.columns[:, k]
+    vec = basis[:, k]
     blocks = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     unnormalized = np.einsum("a,...aibj,b->...ij", vec.conj(), blocks, vec)
     p = np.trace(unnormalized, axis1=-2, axis2=-1).real

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ReferenceObservable, dephase, populations
+from .channels import ReferenceObservable, _check_dims, _dephase, _populations, dephase
 from .states import (
     ValidationError,
     _check_spectrum,
     _clamp,
+    _reject_first,
     _unstack,
     eig_hermitian,
     hermitian_part,
@@ -75,7 +77,10 @@ def _spectral_entropy(lam: np.ndarray, q: float) -> np.ndarray:
 def max_entropy(dim: int, q: float = 1.0) -> float:
     """Largest order-q entropy in a given dimension (maximally mixed state)."""
     q = _check_q(q)
-    dim = int(dim)
+    try:
+        dim = operator.index(dim)   # an integer, numpy's included; 2.7 is refused
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {dim!r}") from None
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     return -_ln_q(-math.log(dim), q)
@@ -95,11 +100,12 @@ def duality(rho, k_obs: ReferenceObservable, q: float = 1.0) -> dict:
 
     The dephased spectrum is the population vector, summed in the ascending
     order eigvalsh would return it in. rho may be a stack (..., d, d): each
-    value is then an array over the stack instead of a float."""
+    value is then an array over the stack instead of a float. A stacked
+    observable pairs basis i with state i."""
     q = _check_q(q)
     rho = hermitian_part(rho, name="state")
     lam = _check_spectrum(np.linalg.eigvalsh(rho))
-    spectra = np.array([lam, np.sort(populations(rho, k_obs))])
+    spectra = np.array([lam, np.sort(_populations(_check_dims(rho, k_obs), k_obs))])
     entropy, dephased_entropy = _spectral_entropy(spectra, q)
     dephased_information, wavelike = _clamp(np.array([
         max_entropy(k_obs.dim, q) - dephased_entropy, dephased_entropy - entropy]))
@@ -121,28 +127,29 @@ def wavelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
     return duality(rho, k_obs, q)["wavelike"]
 
 
-def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
+def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0):
     """First-order bound on the wavelike information.
 
     Evaluates Tr[(rho - dephased) f'(rho)] where f is the spectral density
     of the order-q information, f'(lam) = 1 + q ln_q(lam). That slope diverges
     at a zero eigenvalue for q <= 1, so the state must be full rank there; for
-    q > 1 a zero eigenvalue takes the limit ln_q(0) = -1/(q - 1). rho must
-    be one density matrix.
+    q > 1 a zero eigenvalue takes the limit ln_q(0) = -1/(q - 1). A float for
+    one matrix, an array for a stack (..., d, d); the first member that is
+    not full rank is named by its index.
     """
     q = _check_q(q)
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim > 2:
-        raise ValidationError(f"state must be one matrix, got a stack of shape {rho.shape}")
     w, v = eig_hermitian(rho)
-    _check_spectrum(w[::-1])
-    if q <= 1.0 and float(w.min()) <= FULL_RANK_TOL:
-        raise ValueError(
-            f"state must be full rank for order q = {q}: min eigenvalue {float(w.min()):.3e}")
+    _check_spectrum(w[..., ::-1])
+    if q <= 1.0:
+        smallest = w[..., -1]
+        _reject_first(smallest <= FULL_RANK_TOL, lambda index, at: (
+            f"state{at} must be full rank for order q = {q}: "
+            f"min eigenvalue {float(smallest[index]):.3e}"), ValueError)
     log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)
-    slope = (v * (1.0 + q * _ln_q(log_w, q))) @ v.conj().T
-    delta = rho - dephase(rho, k_obs)
-    return float(np.trace(delta @ slope).real)
+    slope = (v * (1.0 + q * _ln_q(log_w, q))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    delta = rho - _dephase(_check_dims(rho, k_obs), k_obs)
+    return _unstack(np.trace(delta @ slope, axis1=-2, axis2=-1).real)
 
 
 def particlelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:

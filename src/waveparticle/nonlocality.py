@@ -70,7 +70,11 @@ class ChshSettings:
     def __init__(self, a, a_prime, b, b_prime):
         stored = []
         for name, vec in (("a", a), ("a_prime", a_prime), ("b", b), ("b_prime", b_prime)):
-            arr = np.asarray(vec, dtype=float)
+            arr = np.asarray(vec)
+            if np.iscomplexobj(arr):    # the float cast would drop the imaginary part
+                raise ValidationError(
+                    f"setting {name} has complex entries, expected a real 3-vector")
+            arr = np.asarray(arr, dtype=float)
             if arr.shape != (3,):
                 raise ValidationError(f"setting {name} must be a 3-vector")
             norm = float(np.linalg.norm(arr))

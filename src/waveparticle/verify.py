@@ -42,9 +42,28 @@ def _entropy_terms(probabilities) -> float:
     return float(sum(-p * np.log(p) for p in probabilities if p > 1e-15))
 
 
-def _entropies_q1_q2(matrix) -> dict[float, float]:
-    lam = np.clip(np.linalg.eigvalsh(matrix), 0.0, None)
-    return {1.0: _entropy_terms(lam), 2.0: float(1.0 - np.sum(lam ** 2))}
+def _entropies_q1_q2(matrices) -> dict[float, np.ndarray]:
+    """Von Neumann and linear entropy of each matrix of a stack (n, d, d),
+    summed term by term from its clipped spectrum."""
+    spectra = np.clip(np.linalg.eigvalsh(matrices), 0.0, None)
+    return {1.0: np.array([_entropy_terms(lam) for lam in spectra]),
+            2.0: np.array([1.0 - np.sum(lam ** 2) for lam in spectra])}
+
+
+def _states_and_bases(rng: np.random.Generator, draw_state):
+    """Draw state i and then basis i, in dimension 2 + i % 7, for i < 1000.
+
+    The draws keep the order of a loop over i; they are grouped into one
+    stack of states and one stacked observable per dimension.
+    """
+    states = {dim: np.empty((len(range(dim - 2, 1000, 7)), dim, dim), dtype=complex)
+              for dim in range(2, 9)}
+    bases = {dim: np.empty_like(stack) for dim, stack in states.items()}
+    for i in range(1000):
+        dim = 2 + (i % 7)
+        states[dim][i // 7] = draw_state(rng, dim)
+        bases[dim][i // 7] = sampling.random_unitary(rng, dim)
+    return [(dim, states[dim], ReferenceObservable(bases[dim])) for dim in states]
 
 
 def _qubit_pair(a: float) -> np.ndarray:
@@ -113,52 +132,48 @@ def check_werner_activation() -> CheckResult:
 def check_delayed_choice_forms() -> CheckResult:
     alphas = np.linspace(0.0, np.pi / 2.0, 20)
     phis = np.linspace(0.0, 2.0 * np.pi, 20)
+    scalars = dce_analyze(alphas[:, None], phis[None, :]).scalars
     residual = 0.0
     margin = np.inf
     for i, alpha in enumerate(alphas):
-        for phi in phis:
-            report = dce_analyze(alpha, phi)
+        for j, phi in enumerate(phis):
+            particlelike = float(scalars["particlelike_q2"][i, j])
             cos2 = np.cos(phi) ** 2
             ip2 = 0.5 * (1.0 - np.cos(alpha) ** 4) * cos2
             e2 = 0.25 * np.sin(2.0 * alpha) ** 2 * cos2
             residual = max(residual,
-                           abs(report.scalars["particlelike_q2"] - ip2),
-                           abs(report.scalars["entanglement_linear"] - e2))
+                           abs(particlelike - ip2),
+                           abs(float(scalars["entanglement_linear"][i, j]) - e2))
             if 0 < i < len(alphas) - 1 and abs(np.cos(phi)) > 1e-9:
-                margin = min(margin, 0.5 - report.scalars["particlelike_q2"])
+                margin = min(margin, 0.5 - particlelike)
     passed = residual < 1e-10 and margin > 0.0
     return CheckResult("05_delayed_choice_closed_forms", passed, residual, 1e-10,
                        f"20x20 grid; strict-bound margin {margin:.3e}")
 
 
 def check_complementarity() -> CheckResult:
-    rng = np.random.default_rng(6)
     residual = 0.0
-    for i in range(1000):
-        dim = 2 + (i % 7)
-        rho = sampling.random_density(rng, dim)
-        obs = sampling.random_basis(rng, dim)
+    for dim, rho, obs in _states_and_bases(np.random.default_rng(6), sampling.random_density):
         before, after = _entropies_q1_q2(rho), _entropies_q1_q2(dephase(rho, obs))
         for q in (1.0, 2.0):
-            iw = measures.wavelike_info(rho, obs, q)
-            total = iw + measures.particlelike_info(rho, obs, q)
-            residual = max(residual, abs(total - measures.max_entropy(dim, q)),
-                           abs(iw - (after[q] - before[q])))
+            split = measures.duality(rho, obs, q)
+            iw = split["wavelike"]
+            total = iw + split["particlelike"]
+            residual = max(residual,
+                           float(np.max(np.abs(total - measures.max_entropy(dim, q)))),
+                           float(np.max(np.abs(iw - (after[q] - before[q])))))
     return CheckResult("06_complementarity_equality", residual < 1e-10,
                        residual, 1e-10, "1000 random states, dims 2-8, q in {1,2}")
 
 
 def check_klein_bound() -> CheckResult:
-    rng = np.random.default_rng(7)
     violation = -np.inf
-    for i in range(1000):
-        dim = 2 + (i % 7)
-        rho = sampling.random_full_rank_density(rng, dim)
-        obs = sampling.random_basis(rng, dim)
+    for _, rho, obs in _states_and_bases(np.random.default_rng(7),
+                                         sampling.random_full_rank_density):
         for q in (1.0, 2.0):
             iw = measures.wavelike_info(rho, obs, q)
             ub = measures.wavelike_upper_bound(rho, obs, q)
-            violation = max(violation, -iw, iw - ub)
+            violation = max(violation, float(np.max(-iw)), float(np.max(iw - ub)))
     residual = max(0.0, violation)
     return CheckResult("07_klein_bound_sandwich", violation < 1e-10,
                        residual, 1e-10, "1000 random full-rank states, q in {1,2}")

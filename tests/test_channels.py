@@ -12,6 +12,7 @@ from waveparticle.channels import (
     dephase,
     measure_select,
     measure_select_joint,
+    populations,
     purify,
     reduced_from_informer,
 )
@@ -113,6 +114,16 @@ class TestDephase:
         obs = ReferenceObservable(q)
         once = dephase(rho, obs)
         np.testing.assert_allclose(dephase(once, obs), once, atol=1e-12)
+
+
+@pytest.mark.parametrize("function", [populations, dephase], ids=["populations", "dephase"])
+@pytest.mark.parametrize("state,message", [
+    (np.diag([np.nan, 1.0]), "state has non-finite entries at [(0, 0)]"),
+    ([[0.0, 1.0], [0.0, 0.0]], "state is not Hermitian: max |M - M^H| = 1.000e+00"),
+], ids=["nan", "non-hermitian"])
+def test_populations_and_dephase_reject_invalid_state(function, state, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        function(state, ReferenceObservable.computational(2))
 
 
 class TestMeasureSelect:

@@ -139,6 +139,13 @@ class TestMaxEntropy:
         assert measures.max_entropy(2, 2.0) == pytest.approx(0.5, abs=1e-15)
         assert measures.max_entropy(4, 2.0) == pytest.approx(0.75, abs=1e-15)
 
+    def test_rejects_non_integer_dimension(self):
+        for dim in (2.7, 3.0, "4"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"dimension must be an integer, got {dim!r}")):
+                measures.max_entropy(dim)
+        assert measures.max_entropy(np.int64(4), 2.0) == measures.max_entropy(4, 2.0)
+
     def test_matches_maximally_mixed(self):
         for q in (0.5, 1.0, 1.7, 2.0, 3.0):
             for d in (2, 3, 5):
@@ -418,8 +425,7 @@ def test_unnormalized_or_negative_input_rejected(seed, dim, size, q, defect, siz
     else:
         rho[member] = bad
     at = "" if member is None else f" [{member}]"
-    checks = BOUNDARY_MEASURES + [measures.wavelike_upper_bound] * (member is None)
-    for measure in checks:
+    for measure in BOUNDARY_MEASURES + [measures.wavelike_upper_bound]:
         with pytest.raises(ValidationError, match=re.escape(f"state{at} is not a density matrix")):
             measure(rho, obs, q)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,14 @@ def test_chsh_settings_reject_non_finite_direction(value):
     z = np.array([0.0, 0.0, 1.0])
     with pytest.raises(ValidationError, match="setting b has norm"):
         ChshSettings(z, z, np.array([value, 0.0, 0.0]), z)
+
+
+def test_chsh_settings_reject_complex_direction():
+    z = np.array([0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="setting a_prime has complex entries"):
+            ChshSettings(z, [0, 1j, 0], z, z)
 
 
 def test_bruteforce_matches_closed_form():

@@ -13,8 +13,10 @@ from waveparticle.channels import (
     ImpossibleOutcomeError,
     InformerModel,
     ReferenceObservable,
+    dephase,
     measure_select,
     measure_select_joint,
+    populations,
     purify,
     reduced_from_informer,
 )
@@ -48,6 +50,12 @@ def random_two_qubit(rng, rank):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def random_full_rank(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return 0.9 * rho / np.trace(rho).real + 0.1 * np.eye(dim) / dim
 
 
 def random_qubit(rng):
@@ -107,6 +115,63 @@ def test_two_qubit_stack_matches_per_member_loop(seed, size):
         assert_same_bits(selected, single_selected)
         assert p_selected[i] == single_p_selected
         assert bell[i] == chsh_value(rho, directions)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(1, 5))
+def test_stacked_basis_matches_per_member_loop(seed, dim, size):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_full_rank(rng, dim) for _ in range(size)])
+    bases = [random_basis(rng, dim) for _ in range(size)]
+    obs = ReferenceObservable(np.array([basis.columns for basis in bases]))
+    assert obs.dim == dim
+    stacked = {"populations": populations(stack, obs), "dephase": dephase(stack, obs)}
+    for q in (0.5, 1.0, 2.0):
+        stacked.update({(key, q): value for key, value in measures.duality(stack, obs, q).items()})
+        stacked["bound", q] = measures.wavelike_upper_bound(stack, obs, q)
+    for i, (rho, basis) in enumerate(zip(stack, bases)):
+        single = {"populations": populations(rho, basis), "dephase": dephase(rho, basis)}
+        for q in (0.5, 1.0, 2.0):
+            single.update({(key, q): value
+                           for key, value in measures.duality(rho, basis, q).items()})
+            single["bound", q] = measures.wavelike_upper_bound(rho, basis, q)
+        assert stacked.keys() == single.keys()
+        for key, value in single.items():
+            assert_same_bits(stacked[key][i], value)
+        assert_same_bits(obs.vector(1)[i], basis.vector(1))
+        assert_same_bits(obs.projector(1)[i], basis.projector(1))
+
+
+def test_stacked_basis_names_bad_member():
+    bases = np.array([np.eye(2, dtype=complex)] * 3)
+    bases[1, 0, 1] = 1.0
+    with pytest.raises(ValidationError, match=re.escape(
+            "basis [1] is not orthonormal: max |U^H U - 1| = 1.000e+00 exceeds 1.0e-09")):
+        ReferenceObservable(bases)
+    with pytest.raises(ValidationError, match=re.escape(
+            "basis is not orthonormal: max |U^H U - 1| = 1.000e+00 exceeds 1.0e-09")):
+        ReferenceObservable(bases[1])
+
+
+def test_selected_outcome_needs_one_basis():
+    obs = ReferenceObservable(np.array([np.eye(2, dtype=complex)] * 3))
+    message = re.escape("a selected outcome needs one basis, got a stack of shape (3, 2, 2)")
+    with pytest.raises(ValidationError, match=message):
+        measure_select(np.eye(2) / 2, obs, 0)
+    with pytest.raises(ValidationError, match=message):
+        measure_select_joint(np.eye(4) / 4, (2, 2), obs, 0)
+
+
+def test_bound_names_member_that_is_not_full_rank():
+    stack = np.array([np.eye(2) / 2, np.diag([1.0, 0.0]), np.eye(2) / 2], dtype=complex)
+    obs = ReferenceObservable.computational(2)
+    with pytest.raises(ValueError, match=re.escape(
+            "state [1] must be full rank for order q = 1.0: min eigenvalue 0.000e+00")):
+        measures.wavelike_upper_bound(stack, obs, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "state must be full rank for order q = 1.0: min eigenvalue 0.000e+00")):
+        measures.wavelike_upper_bound(stack[1], obs, 1.0)
+    assert measures.wavelike_upper_bound(stack, obs, 2.0).shape == (3,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,11 +301,9 @@ def test_single_state_functions_reject_stacks():
     with pytest.raises(ValidationError, match=re.escape(
             "two-qubit state must be 4x4, got shape (2, 4, 4)")):
         chsh_bruteforce(stack)
-    obs = ReferenceObservable.computational(4)
-    for function in (purify, lambda rho: measures.wavelike_upper_bound(rho, obs, 2.0)):
-        with pytest.raises(ValidationError, match=re.escape(
-                "state must be one matrix, got a stack of shape (2, 4, 4)")):
-            function(stack)
+    with pytest.raises(ValidationError, match=re.escape(
+            "state must be one matrix, got a stack of shape (2, 4, 4)")):
+        purify(stack)
     with pytest.raises(ValidationError, match=re.escape(
             "two-qubit state must be 4x4, got shape (3, 3)")):
         chsh_nl(np.eye(3))

@@ -77,14 +77,6 @@ def _check_dims(rho, k_obs: ReferenceObservable) -> np.ndarray:
     return rho
 
 
-def _one_basis(k_obs: ReferenceObservable) -> np.ndarray:
-    """The basis of an observable that must not be a stack of bases."""
-    if k_obs.columns.ndim > 2:
-        raise ValidationError(f"a selected outcome needs one basis, "
-                              f"got a stack of shape {k_obs.columns.shape}")
-    return k_obs.columns
-
-
 def populations(rho, k_obs: ReferenceObservable) -> np.ndarray:
     """Outcome probabilities <k|rho|k>, which are the dephased state's spectrum.
 
@@ -120,18 +112,12 @@ def measure_select(rho, k_obs: ReferenceObservable, k: int):
     Returns the conditional state (the projector on the outcome vector)
     together with the outcome probability. A stack (..., d, d) shares that
     projector and gives an array of probabilities; the first member for
-    which the outcome is impossible is named by its index.
+    which the outcome is impossible is named by its index. This is
+    measure_select_joint with a trivial unmeasured factor (split d x 1).
     """
     rho = _check_dims(rho, k_obs)
-    basis = _one_basis(k_obs)
-    if not 0 <= k < k_obs.dim:
-        raise ValueError(f"outcome index {k} out of range for dimension {k_obs.dim}")
-    vec = basis[:, k]
-    # one (1, d) @ (d, 1) product per member gives a stack the bits of a single state
-    p = np.real((vec.conj() @ rho)[..., None, :] @ vec[:, None])[..., 0, 0]
-    _reject_first(p < IMPOSSIBLE_OUTCOME_TOL, lambda index, at: (
-        f"outcome {k}{at} has probability {p[index]:.3e}"), ImpossibleOutcomeError)
-    return projector(vec), _unstack(np.minimum(p, 1.0))
+    _, p = measure_select_joint(rho, (k_obs.dim, 1), k_obs, k)
+    return k_obs.projector(k), p
 
 
 def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
@@ -150,10 +136,12 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     if k_obs.dim != dim_a:
         raise ValidationError(
             f"observable dimension {k_obs.dim} does not match measured factor {dim_a}")
-    basis = _one_basis(k_obs)
+    if k_obs.columns.ndim > 2:
+        raise ValidationError(f"a selected outcome needs one basis, "
+                              f"got a stack of shape {k_obs.columns.shape}")
     if not 0 <= k < dim_a:
         raise ValueError(f"outcome index {k} out of range for dimension {dim_a}")
-    vec = basis[:, k]
+    vec = k_obs.columns[:, k]
     blocks = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     unnormalized = np.einsum("a,...aibj,b->...ij", vec.conj(), blocks, vec)
     p = np.trace(unnormalized, axis1=-2, axis2=-1).real

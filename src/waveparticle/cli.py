@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=float, default=None,
                         help="entropy order (default 1)")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable JSON output")
 
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--phi", type=float, default=0.0,
@@ -241,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the verification suite")
+    p_verify = sub.add_parser("verify", help="run the verification suite")
+    p_verify.add_argument("--json", action="store_true",
+                          help="machine-readable JSON output")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -122,9 +122,9 @@ class ExperimentReport:
 
 
 def _dual_measures(rho: np.ndarray, obs: ReferenceObservable) -> dict[str, float]:
-    one, two = (measures.duality(rho, obs, q) for q in (1.0, 2.0))
-    return {"wavelike_q1": one["wavelike"], "particlelike_q1": one["particlelike"],
-            "wavelike_q2": two["wavelike"], "particlelike_q2": two["particlelike"]}
+    split = measures.duality(rho, obs, (1.0, 2.0))
+    return {f"{key}_q{i + 1}": _unstack(split[key][i])
+            for i in (0, 1) for key in ("wavelike", "particlelike")}
 
 
 def mzi_run(config: MziConfig) -> ExperimentReport:
@@ -143,12 +143,13 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
     rho_mid = projector(mid)
     rho_pre = projector(pre_detector)
     populations = np.abs(pre_detector) ** 2
+    wavelike_mid = measures.wavelike_info(rho_mid, obs, (1.0, 2.0))
     scalars = {
         "p_detector_0": _unstack(populations[..., 0]),
         "p_detector_1": _unstack(populations[..., 1]),
         **_dual_measures(rho_pre, obs),
-        "wavelike_mid_q1": measures.wavelike_info(rho_mid, obs, 1.0),
-        "wavelike_mid_q2": measures.wavelike_info(rho_mid, obs, 2.0),
+        "wavelike_mid_q1": _unstack(wavelike_mid[0]),
+        "wavelike_mid_q2": _unstack(wavelike_mid[1]),
     }
     states = {
         "mid": ReportState((2,), rho_mid),
@@ -291,12 +292,13 @@ def measurement_model(amplitudes, perspective: str,
         rho_pointer = partial_trace(rho_joint, split, keep=1)
     else:
         raise ValidationError(f"unknown perspective {perspective!r}")
+    wavelike_pointer = measures.wavelike_info(rho_pointer, obs, (1.0, 2.0))
     scalars = {
         "wavelike_pre_q1": pre_wavelike,
         **extra,
         **_dual_measures(rho_q, obs),
-        "wavelike_pointer_q1": measures.wavelike_info(rho_pointer, obs, 1.0),
-        "wavelike_pointer_q2": measures.wavelike_info(rho_pointer, obs, 2.0),
+        "wavelike_pointer_q1": _unstack(wavelike_pointer[0]),
+        "wavelike_pointer_q2": _unstack(wavelike_pointer[1]),
     }
     states = {
         "quanton": ReportState((branches,), rho_q),

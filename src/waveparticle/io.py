@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 from typing import Iterable, NamedTuple
 
@@ -125,7 +126,7 @@ def _read_dims(payload, total: int) -> tuple[int, ...]:
     if (not isinstance(dims, list) or not dims
             or not all(_is_positive_int(d) for d in dims)):
         raise StateFormatError("dims", "expected an array of positive integers")
-    product = int(np.prod(dims))
+    product = math.prod(dims)
     if product != total:
         raise StateFormatError("dims", f"product {product} does not match dimension {total}")
     return tuple(dims)

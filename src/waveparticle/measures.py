@@ -95,27 +95,30 @@ def information(rho, q: float = 1.0):
     return _unstack(_clamp(max_entropy(dim, q) - tsallis_entropy(rho, q)))
 
 
-def duality(rho, k_obs: ReferenceObservable, q: float = 1.0) -> dict:
+def duality(rho, k_obs: ReferenceObservable, q=1.0) -> dict:
     """Entropy, dephased information and wave/particle split from one eigensolve.
 
     The dephased spectrum is the population vector, summed in the ascending
     order eigvalsh would return it in. rho may be a stack (..., d, d): each
     value is then an array over the stack instead of a float. A stacked
-    observable pairs basis i with state i."""
-    q = _check_q(q)
+    observable pairs basis i with state i, or with the one state given.
+    q may be a 1-d sequence of orders: each value then gets a leading order
+    axis, and each order the bits it would get alone."""
+    orders = np.asarray(q, dtype=float)
+    checked = [_check_q(order) for order in orders.reshape(-1)]
     rho = hermitian_part(rho, name="state")
     lam = _check_spectrum(np.linalg.eigvalsh(rho))
-    spectra = np.array([lam, np.sort(_populations(_check_dims(rho, k_obs), k_obs))])
-    entropy, dephased_entropy = _spectral_entropy(spectra, q)
-    dephased_information, wavelike = _clamp(np.array([
-        max_entropy(k_obs.dim, q) - dephased_entropy, dephased_entropy - entropy]))
-    split = {
-        "entropy": entropy,
-        "dephased_information": dephased_information,
-        "wavelike": wavelike,
-        "particlelike": dephased_information + entropy,
-    }
-    return {key: _unstack(value) for key, value in split.items()}
+    spectra = np.array(np.broadcast_arrays(
+        lam, np.sort(_populations(_check_dims(rho, k_obs), k_obs))))
+    values = np.empty((len(checked), 4, *spectra.shape[1:-1]))   # (order, key, ...)
+    for j, order in enumerate(checked):
+        entropy, dephased_entropy = _spectral_entropy(spectra, order)
+        dephased_information, wavelike = _clamp(np.array([
+            max_entropy(k_obs.dim, order) - dephased_entropy, dephased_entropy - entropy]))
+        values[j] = entropy, dephased_information, wavelike, dephased_information + entropy
+    return {key: _unstack(values[:, i].reshape(orders.shape + values.shape[2:]))
+            for i, key in enumerate(("entropy", "dephased_information", "wavelike",
+                                     "particlelike"))}
 
 
 def wavelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 from .states import (
     DEFAULT_TOL,
     ValidationError,
+    _check_spectrum,
     _check_unit_norm,
     _clamp,
     _unstack,
@@ -164,10 +165,12 @@ def concurrence(rho):
     evaluated as singular values of (V sqrt(L))^T (sy x sy) (V sqrt(L)), an
     algebraically identical form that avoids square roots of eigensolver
     noise near zero. A float for one state; a stack (..., 4, 4) gives an
-    array from one batched eig_hermitian and svd.
+    array from one batched eig_hermitian and svd. The spectrum must be that of
+    a density matrix; the first member of a stack that fails is named.
     """
     rho = _check_two_qubit(rho)
     w, v = eig_hermitian(rho)
+    _check_spectrum(w[..., ::-1])
     factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     core = factor.swapaxes(-1, -2) @ _SPIN_FLIP @ factor
     s = np.linalg.svd(core, compute_uv=False)

@@ -11,12 +11,6 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1.0j * rng.standard_normal((rows, cols))
 
 
-def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random state vector."""
-    psi = _ginibre(rng, dim, 1).reshape(-1)
-    return psi / np.linalg.norm(psi)
-
-
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random unitary (QR of a Ginibre matrix, phases fixed)."""
     q, r = np.linalg.qr(_ginibre(rng, dim, dim))

@@ -155,10 +155,10 @@ def check_complementarity() -> CheckResult:
     residual = 0.0
     for dim, rho, obs in _states_and_bases(np.random.default_rng(6), sampling.random_density):
         before, after = _entropies_q1_q2(rho), _entropies_q1_q2(dephase(rho, obs))
-        for q in (1.0, 2.0):
-            split = measures.duality(rho, obs, q)
-            iw = split["wavelike"]
-            total = iw + split["particlelike"]
+        split = measures.duality(rho, obs, (1.0, 2.0))
+        for i, q in enumerate((1.0, 2.0)):
+            iw = split["wavelike"][i]
+            total = iw + split["particlelike"][i]
             residual = max(residual,
                            float(np.max(np.abs(total - measures.max_entropy(dim, q)))),
                            float(np.max(np.abs(iw - (after[q] - before[q])))))
@@ -170,8 +170,7 @@ def check_klein_bound() -> CheckResult:
     violation = -np.inf
     for _, rho, obs in _states_and_bases(np.random.default_rng(7),
                                          sampling.random_full_rank_density):
-        for q in (1.0, 2.0):
-            iw = measures.wavelike_info(rho, obs, q)
+        for iw, q in zip(measures.wavelike_info(rho, obs, (1.0, 2.0)), (1.0, 2.0)):
             ub = measures.wavelike_upper_bound(rho, obs, q)
             violation = max(violation, float(np.max(-iw)), float(np.max(iw - ub)))
     residual = max(0.0, violation)

@@ -146,6 +146,37 @@ class TestMeasureSelect:
         with pytest.raises(ImpossibleOutcomeError):
             measure_select(rho, obs, 1)
 
+    def test_probability_matches_projection_formula(self):
+        # measure_select is measure_select_joint with split d x 1; its probability
+        # is summed as that 1x1 block's trace, not as (v^H rho) v
+        worst = 0.0
+        for dim in range(2, 9):
+            rho = np.array([random_density(dim) for _ in range(20)])
+            obs = ReferenceObservable(np.linalg.qr(random_density(dim))[0])
+            for k in range(dim):
+                vec = obs.columns[:, k]
+                expected = np.minimum(np.real((vec.conj() @ rho) @ vec), 1.0)
+                worst = max(worst, float(np.max(np.abs(measure_select(rho, obs, k)[1]
+                                                       - expected))))
+        assert worst <= 2.3e-16
+
+    def test_rejection_messages(self):
+        obs = ReferenceObservable.computational(2)
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"outcome index {k} out of range for dimension 2")):
+                measure_select(np.eye(2) / 2, obs, k)
+        stack = np.array([np.eye(2) / 2, projector(basis_state(2, 0))])
+        with pytest.raises(ImpossibleOutcomeError, match=re.escape(
+                "outcome 1 [1] has probability 0.000e+00")):
+            measure_select(stack, obs, 1)
+        with pytest.raises(ValidationError, match=re.escape(
+                "a selected outcome needs one basis, got a stack of shape (2, 2, 2)")):
+            measure_select(stack, ReferenceObservable(np.array([np.eye(2)] * 2)), 0)
+        with pytest.raises(ValidationError, match=re.escape(
+                "state shape (3, 3) does not match observable dimension 2")):
+            measure_select(np.eye(3) / 3, obs, 0)
+
 
 class TestMeasureSelectJoint:
     def test_bell_state_click(self):

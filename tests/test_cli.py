@@ -126,6 +126,13 @@ class TestMeasures:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    def test_dims_overflowing_int64_rejected(self, capsys, tmp_path):
+        bad = write_state(tmp_path, "wrap.json", dims=[3, 6148914691236517206],
+                          amplitudes=[[1.0, 0.0], [0.0, 0.0]])
+        code, out, err = run_cli(capsys, "measures", bad)
+        assert (code, out) == (2, "")
+        assert "field 'dims'" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "measures", "/no/such/file.json")
         assert code == 2
@@ -405,6 +412,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         assert out.splitlines()[0].startswith("PASS 00_probe residual=")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "3"],
+    ["measures", "{state}", "--json"],
+    ["experiment", "mzi", "--json"],
+    ["sweep", "mzi", "--param", "phi", "--start", "0", "--stop", "1", "--steps", "2",
+     "--out", "{out}", "--json"],
+], ids=["verify --q", "measures --json", "experiment --json", "sweep --json"])
+def test_flag_a_command_does_not_read_is_rejected(capsys, balanced_state, tmp_path, argv):
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main([arg.format(state=balanced_state, out=out) for arg in argv])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -100,6 +100,13 @@ class TestStateFiles:
             io.parse_state('{"dims": [3], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
         assert err.value.field == "dims"
 
+    def test_dims_product_does_not_wrap(self):
+        # 3 * 6148914691236517206 = 2**64 + 2, which int64 arithmetic wraps to 2
+        with pytest.raises(io.StateFormatError, match="product 18446744073709551618") as err:
+            io.parse_state('{"dims": [3, 6148914691236517206],'
+                           ' "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
+        assert err.value.field == "dims"
+
     def test_dims_must_be_positive_integers(self):
         with pytest.raises(io.StateFormatError) as err:
             io.parse_state('{"dims": [2.0], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')

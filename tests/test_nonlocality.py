@@ -213,6 +213,18 @@ def test_concurrence_bell_state():
     assert concurrence(projector(bell_phi_plus())) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_concurrence_rejects_non_density_input():
+    with pytest.raises(ValidationError, match=(
+            r"^state is not a density matrix: eigenvalues sum to (2\.0|1\.9999)")):
+        concurrence(2.0 * projector(bell_phi_plus()))
+    stack = np.array([werner(0.5)] * 3)
+    stack[2] = werner(-0.5)     # unit trace, eigenvalue 3/8 - 1/2
+    with pytest.raises(ValidationError, match=(
+            r"^state \[2\] is not a density matrix: .*, smallest -1\.250e-01")):
+        concurrence(stack)
+    assert concurrence(stack[:2]).shape == (2,)
+
+
 def test_concurrence_product_state():
     rho = tensor(projector(basis_state(2, 0)), projector(basis_state(2, 1)))
     assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)

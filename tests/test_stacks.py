@@ -142,6 +142,60 @@ def test_stacked_basis_matches_per_member_loop(seed, dim, size):
         assert_same_bits(obs.projector(1)[i], basis.projector(1))
 
 
+# one order on each side of q = 1 at 1e-6, where ln_q switches to its limit
+ORDERS = (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 3.0)
+
+
+def random_mixed_rank(rng, dim):
+    rank = int(rng.integers(1, dim + 1))
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(0, 4))
+def test_duality_over_orders_matches_per_order_calls(seed, dim, size):
+    """One call over a sequence of orders gives order i the bits of a call at
+    that order alone: for one state (size 0), a stack, and stacked bases."""
+    rng = np.random.default_rng(seed)
+    states = [random_mixed_rank(rng, dim) for _ in range(max(size, 1))]
+    rho = np.array(states) if size else states[0]
+    observables = [random_basis(rng, dim)]
+    if size:
+        observables.append(ReferenceObservable(
+            np.array([random_basis(rng, dim).columns for _ in range(size)])))
+    for obs in observables:
+        split = measures.duality(rho, obs, ORDERS)
+        for i, q in enumerate(ORDERS):
+            single = measures.duality(rho, obs, q)
+            assert split.keys() == single.keys()
+            for key, value in single.items():
+                assert split[key].shape == (len(ORDERS), *np.shape(value))
+                assert_same_bits(split[key][i], value)
+        for key, values in split.items():
+            # continuous through q = 1: one step of 1e-6 moves each value by less than 1e-5
+            assert np.max(np.abs(values[[1, 3]] - values[2])) < 1e-5, key
+
+
+def test_one_state_pairs_with_every_basis_of_a_stack():
+    rng = np.random.default_rng(17)
+    rho = random_full_rank(rng, 3)
+    bases = [random_basis(rng, 3) for _ in range(4)]
+    obs = ReferenceObservable(np.array([basis.columns for basis in bases]))
+    orders = (0.5, 1.0, 2.0)
+    stacked = {"populations": populations(rho, obs), "dephase": dephase(rho, obs),
+               "bound": measures.wavelike_upper_bound(rho, obs, 2.0),
+               **{key: value.T for key, value in measures.duality(rho, obs, orders).items()}}
+    for i, basis in enumerate(bases):
+        single = {"populations": populations(rho, basis), "dephase": dephase(rho, basis),
+                  "bound": measures.wavelike_upper_bound(rho, basis, 2.0),
+                  **measures.duality(rho, basis, orders)}
+        assert stacked.keys() == single.keys()
+        for key, value in single.items():
+            assert_same_bits(stacked[key][i], value)
+
+
 def test_stacked_basis_names_bad_member():
     bases = np.array([np.eye(2, dtype=complex)] * 3)
     bases[1, 0, 1] = 1.0

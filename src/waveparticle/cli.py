@@ -188,7 +188,14 @@ SCENARIOS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after it."""
+    global _parser
+    if _parser is not None:
+        return _parser
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=float, default=None,
                         help="entropy order (default 1)")
@@ -243,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true",
                           help="machine-readable JSON output")
     p_verify.set_defaults(func=cmd_verify)
+    _parser = parser
     return parser
 
 

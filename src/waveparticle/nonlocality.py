@@ -10,6 +10,7 @@ from .states import (
     _check_spectrum,
     _check_unit_norm,
     _clamp,
+    _reject_first,
     _unstack,
     eig_hermitian,
     hermitian_part,
@@ -50,16 +51,39 @@ def _correlations(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,ijba->...ij", rho, _PAULI_PRODUCTS).real
 
 
+def _chsh_spectrum(rho, t: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of T^T T, for two-qubit matrices rho that passed
+    the Hermiticity check and their correlation tensors t.
+
+    A state whose trace is not 1, or whose T^T T has an eigenvalue above 1,
+    is not a density matrix, and its CHSH value could pass Tsirelson's
+    2 sqrt(2); both are rejected beyond DEFAULT_TOL, and the first failing
+    member of a stack is named by its index.
+    """
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    _reject_first(abs(trace - 1.0) > DEFAULT_TOL, lambda index, at: (
+        f"two-qubit state{at} has trace {float(trace[index])!r}, "
+        f"deviating from 1 beyond {DEFAULT_TOL:.1e}"))
+    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    _reject_first(u[..., -1] > 1.0 + DEFAULT_TOL, lambda index, at: (
+        f"two-qubit state{at} is not a density matrix: T^T T has eigenvalue "
+        f"{float(u[index][-1])!r} above 1 (tolerance {DEFAULT_TOL:.1e})"))
+    return u
+
+
 def chsh_nl(rho):
     """Largest CHSH value over measurement settings, and the violation degree.
 
     The maximum is 2 sqrt(u1 + u2) with u1 >= u2 the two largest eigenvalues
     of T^T T (Horodecki criterion); the violation degree is
     max(0, b_max^2 / 4 - 1). Two floats for one state, two arrays for a
-    stack (..., 4, 4), from one batched eigvalsh.
+    stack (..., 4, 4), from one batched eigvalsh. A trace other than 1 or an
+    eigenvalue of T^T T above 1 is rejected.
     """
     t = correlation_matrix(rho)
-    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    # rho passed the Hermiticity check, and its diagonal's real part is that
+    # of its Hermitian part
+    u = _chsh_spectrum(rho, t)
     b_max = 2.0 * np.sqrt(_clamp(u[..., -1] + u[..., -2]))
     n_l = _clamp(b_max * b_max / 4.0 - 1.0)
     return _unstack(b_max), _unstack(n_l)
@@ -86,76 +110,104 @@ class ChshSettings:
 
 
 def _bloch_operator(v: np.ndarray) -> np.ndarray:
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    """v . sigma for each Bloch vector of a stack (..., 3)."""
+    return (v[..., 0, None, None] * SIGMA_X + v[..., 1, None, None] * SIGMA_Y
+            + v[..., 2, None, None] * SIGMA_Z)
+
+
+def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of each pair of 2x2 matrices of two stacks (..., 2, 2), entry by entry."""
+    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(x.shape[:-2] + (4, 4))
+
+
+def _bell_operator(a, a_prime, b, b_prime) -> np.ndarray:
+    """A (x) (b + b') + a' (x) (b - b') for settings stacked alike (..., 3)."""
+    return (_kron2(_bloch_operator(a), _bloch_operator(b + b_prime))
+            + _kron2(_bloch_operator(a_prime), _bloch_operator(b - b_prime)))
 
 
 def chsh_operator(settings: ChshSettings) -> np.ndarray:
     """Bell operator for the given settings."""
-    plus = settings.b + settings.b_prime
-    minus = settings.b - settings.b_prime
-    return (np.kron(_bloch_operator(settings.a), _bloch_operator(plus))
-            + np.kron(_bloch_operator(settings.a_prime), _bloch_operator(minus)))
+    return _bell_operator(settings.a, settings.a_prime, settings.b, settings.b_prime)
 
 
 def chsh_value(rho, settings: ChshSettings):
     """Bell operator expectation: a float for one state, an array for a stack."""
-    return _expectation(_check_two_qubit(rho), settings)
+    return _unstack(_expectation(_check_two_qubit(rho), chsh_operator(settings)))
 
 
-def _expectation(rho: np.ndarray, settings: ChshSettings):
-    return _unstack(np.trace(rho @ chsh_operator(settings), axis1=-2, axis2=-1).real)
+def _expectation(rho: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    return np.trace(rho @ operator, axis1=-2, axis2=-1).real
 
 
-def _unit_rows(rows: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    ok = norms[:, 0] > _UNIT_EPS
-    out = fallback.copy()
-    out[ok] = rows[ok] / norms[ok]
-    return out
+def _unit_rows(rows: np.ndarray, fallback: np.ndarray):
+    """Each row (..., 3) over its norm, or the fallback row where the norm is
+    not above _UNIT_EPS; and the norms (..., 1), summed as np.linalg.norm does."""
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
+    return np.divide(rows, norms, out=fallback.copy(), where=norms > _UNIT_EPS), norms
 
 
-def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200,
-                    seed: int = 0) -> float:
-    """Best CHSH value of one state found by random-restart alternating ascent.
+def _best_restart(t, a, a_prime, b, b_prime) -> np.ndarray:
+    """Settings (n, 4, 3) of each state's best restart, scored in closed form
+    as a.T(b + b') + a'.T(b - b') from restarts (n, restarts, 3)."""
+    scores = (np.einsum("nri,nij,nrj->nr", a, t, b + b_prime)
+              + np.einsum("nri,nij,nrj->nr", a_prime, t, b - b_prime))
+    best = np.argmax(scores, axis=-1)[:, None, None]
+    return np.stack([np.take_along_axis(v, best, axis=1)[:, 0]
+                     for v in (a, a_prime, b, b_prime)], axis=1)
+
+
+def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200, seed: int = 0):
+    """Best CHSH value found by random-restart alternating ascent.
 
     With one side held fixed the optimum on the other side is the normalized
     image of the setting combination under the correlation tensor, so every
-    sweep is a closed-form update and the value never decreases. All restarts
-    run in lockstep and are scored in closed form, a.T(b + b') + a'.T(b - b');
-    only the winner is re-evaluated as an operator expectation.
+    sweep is a closed-form update and the value never decreases. The restarts
+    run in lockstep and are scored in closed form; only the winner is
+    re-evaluated as a Bell operator expectation.
+
+    A float for one state; a stack (..., 4, 4) gives an array, and each
+    member the bits it would get alone: every state starts from the same
+    restarts drawn from seed, the states iterate in lockstep, and a state
+    leaves in the iteration where none of its restarts gains 1e-10 any more,
+    or in the last one. Non-density input is rejected as by chsh_nl.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rho = _check_two_qubit(rho)
-    if rho.ndim != 2:
-        raise ValidationError(f"two-qubit state must be 4x4, got shape {rho.shape}")
     t = _correlations(rho)
+    _chsh_spectrum(rho, t)
+    shape = rho.shape[:-2]
+    # A contiguous tensor keeps every member on the same matmul path, whichever
+    # states are left in the working set; a strided view would not.
+    rho, t = rho.reshape(-1, 4, 4), np.ascontiguousarray(t.reshape(-1, 3, 3))
     rng = np.random.default_rng(seed)
     default = np.tile(np.array([0.0, 0.0, 1.0]), (restarts, 1))
-    b = _unit_rows(rng.standard_normal((restarts, 3)), default)
-    b_prime = _unit_rows(rng.standard_normal((restarts, 3)), default)
-    a = _unit_rows(rng.standard_normal((restarts, 3)), default)
-    a_prime = _unit_rows(rng.standard_normal((restarts, 3)), default)
-    value = np.full(restarts, -np.inf)
-    for _ in range(iterations):
-        image_a = (b + b_prime) @ t.T
-        image_a_prime = (b - b_prime) @ t.T
-        a = _unit_rows(image_a, a)
-        a_prime = _unit_rows(image_a_prime, a_prime)
-        new_value = (np.linalg.norm(image_a, axis=1)
-                     + np.linalg.norm(image_a_prime, axis=1))
-        b = _unit_rows((a + a_prime) @ t, b)
-        b_prime = _unit_rows((a - a_prime) @ t, b_prime)
-        done = bool(np.all(new_value - value < 1e-10))
+    starts = [_unit_rows(rng.standard_normal((restarts, 3)), default)[0] for _ in range(4)]
+    b, b_prime, a, a_prime = np.broadcast_to(
+        np.array(starts)[:, None], (4, len(t), restarts, 3))
+    value = np.full((len(t), restarts), -np.inf)
+    active = np.arange(len(t))
+    winners = np.empty((len(t), 4, 3))
+    for step in range(iterations):
+        a, norm_a = _unit_rows((b + b_prime) @ t.swapaxes(-1, -2), a)
+        a_prime, norm_a_prime = _unit_rows((b - b_prime) @ t.swapaxes(-1, -2), a_prime)
+        new_value = norm_a[..., 0] + norm_a_prime[..., 0]
+        b, _ = _unit_rows((a + a_prime) @ t, b)
+        b_prime, _ = _unit_rows((a - a_prime) @ t, b_prime)
+        done = np.all(new_value - value < 1e-10, axis=-1) | (step == iterations - 1)
         value = np.maximum(new_value, value)
-        if done:
-            break
-    scores = (np.einsum("ri,ij,rj->r", a, t, b + b_prime)
-              + np.einsum("ri,ij,rj->r", a_prime, t, b - b_prime))
-    i = int(np.argmax(scores))
-    return _expectation(rho, ChshSettings(a[i], a_prime[i], b[i], b_prime[i]))
+        if done.any():
+            winners[active[done]] = _best_restart(t[done], a[done], a_prime[done],
+                                                  b[done], b_prime[done])
+            t, a, a_prime, b, b_prime, value, active = (
+                x[~done] for x in (t, a, a_prime, b, b_prime, value, active))
+            if not active.size:
+                break
+    values = _expectation(rho, _bell_operator(*winners.swapaxes(0, 1)))
+    return _unstack(values.reshape(shape))
 
 
 def concurrence(rho):

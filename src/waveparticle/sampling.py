@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ReferenceObservable
-
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1.0j * rng.standard_normal((rows, cols))
@@ -36,11 +34,6 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random Hermitian matrix with O(1) entries."""
     g = _ginibre(rng, dim, dim)
     return (g + g.conj().T) / 2.0
-
-
-def random_basis(rng: np.random.Generator, dim: int) -> ReferenceObservable:
-    """Reference observable built from a Haar-random orthonormal basis."""
-    return ReferenceObservable(random_unitary(rng, dim))
 
 
 def random_probabilities(rng: np.random.Generator, dim: int) -> np.ndarray:

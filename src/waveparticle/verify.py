@@ -50,20 +50,23 @@ def _entropies_q1_q2(matrices) -> dict[float, np.ndarray]:
             2.0: np.array([1.0 - np.sum(lam ** 2) for lam in spectra])}
 
 
-def _states_and_bases(rng: np.random.Generator, draw_state):
-    """Draw state i and then basis i, in dimension 2 + i % 7, for i < 1000.
+def _draws_by_dimension(rng: np.random.Generator, draw, count: int):
+    """Draw member i and then basis i, in dimension 2 + i % 7, for i < count.
 
     The draws keep the order of a loop over i; they are grouped into one
-    stack of states and one stacked observable per dimension.
+    stack of members and one stacked observable per dimension.
     """
-    states = {dim: np.empty((len(range(dim - 2, 1000, 7)), dim, dim), dtype=complex)
-              for dim in range(2, 9)}
-    bases = {dim: np.empty_like(stack) for dim, stack in states.items()}
-    for i in range(1000):
+    members, bases = {}, {}
+    for i in range(count):
         dim = 2 + (i % 7)
-        states[dim][i // 7] = draw_state(rng, dim)
+        member = draw(rng, dim)
+        if i < 7:   # the first draw in its dimension sizes that dimension's stack
+            size = len(range(i, count, 7))
+            members[dim] = np.empty((size, *member.shape), dtype=member.dtype)
+            bases[dim] = np.empty((size, dim, dim), dtype=complex)
+        members[dim][i // 7] = member
         bases[dim][i // 7] = sampling.random_unitary(rng, dim)
-    return [(dim, states[dim], ReferenceObservable(bases[dim])) for dim in states]
+    return [(dim, members[dim], ReferenceObservable(bases[dim])) for dim in members]
 
 
 def _qubit_pair(a: float) -> np.ndarray:
@@ -153,7 +156,8 @@ def check_delayed_choice_forms() -> CheckResult:
 
 def check_complementarity() -> CheckResult:
     residual = 0.0
-    for dim, rho, obs in _states_and_bases(np.random.default_rng(6), sampling.random_density):
+    for dim, rho, obs in _draws_by_dimension(np.random.default_rng(6),
+                                             sampling.random_density, 1000):
         before, after = _entropies_q1_q2(rho), _entropies_q1_q2(dephase(rho, obs))
         split = measures.duality(rho, obs, (1.0, 2.0))
         for i, q in enumerate((1.0, 2.0)):
@@ -168,8 +172,8 @@ def check_complementarity() -> CheckResult:
 
 def check_klein_bound() -> CheckResult:
     violation = -np.inf
-    for _, rho, obs in _states_and_bases(np.random.default_rng(7),
-                                         sampling.random_full_rank_density):
+    for _, rho, obs in _draws_by_dimension(np.random.default_rng(7),
+                                           sampling.random_full_rank_density, 1000):
         for iw, q in zip(measures.wavelike_info(rho, obs, (1.0, 2.0)), (1.0, 2.0)):
             ub = measures.wavelike_upper_bound(rho, obs, q)
             violation = max(violation, float(np.max(-iw)), float(np.max(iw - ub)))
@@ -180,12 +184,12 @@ def check_klein_bound() -> CheckResult:
 
 def check_chsh_oracle() -> CheckResult:
     rng = np.random.default_rng(8)
+    states = np.array([sampling.random_density(rng, 4) for _ in range(200)])
+    estimates = chsh_bruteforce(states, restarts=32, iterations=1000, seed=0)
     residual = 0.0
     overshoot = 0.0
-    for _ in range(200):
-        rho = sampling.random_density(rng, 4)
+    for rho, estimate in zip(states, estimates.tolist()):
         b_max, _ = chsh_nl(rho)
-        estimate = chsh_bruteforce(rho, restarts=32, iterations=1000, seed=0)
         residual = max(residual, abs(b_max - estimate))
         overshoot = max(overshoot, estimate - b_max)
     passed = residual < 1e-4 and overshoot < 1e-9
@@ -194,13 +198,10 @@ def check_chsh_oracle() -> CheckResult:
 
 
 def check_commutator_identity() -> CheckResult:
-    rng = np.random.default_rng(9)
     residual = 0.0
-    for i in range(500):
-        dim = 2 + (i % 7)
-        j = sampling.random_hermitian(rng, dim)
-        obs = sampling.random_basis(rng, dim)
-        total = np.zeros((dim, dim), dtype=complex)
+    for dim, j, obs in _draws_by_dimension(np.random.default_rng(9),
+                                           sampling.random_hermitian, 500):
+        total = np.zeros_like(j)
         for k in range(dim):
             p_k = obs.projector(k)
             total += (j @ p_k - p_k @ j) @ p_k
@@ -210,15 +211,12 @@ def check_commutator_identity() -> CheckResult:
 
 
 def check_joint_entropy() -> CheckResult:
-    rng = np.random.default_rng(10)
     residual = 0.0
-    for i in range(500):
-        dim = 2 + (i % 7)
-        p = sampling.random_probabilities(rng, dim)
-        obs = sampling.random_basis(rng, dim)
-        rho = sum(p[k] * obs.projector(k) for k in range(dim))
-        residual = max(residual,
-                       abs(measures.tsallis_entropy(rho, 1.0) - measures.shannon(p)))
+    for dim, p, obs in _draws_by_dimension(np.random.default_rng(10),
+                                           sampling.random_probabilities, 500):
+        rho = sum(p[:, k, None, None] * obs.projector(k) for k in range(dim))
+        for entropy, p_i in zip(measures.tsallis_entropy(rho, 1.0).tolist(), p):
+            residual = max(residual, abs(entropy - measures.shannon(p_i)))
     return CheckResult("10_joint_entropy_theorem", residual < 1e-10,
                        residual, 1e-10, "500 random distributions, dims 2-8")
 

@@ -133,6 +133,20 @@ def test_chsh_operator_is_hermitian():
     np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
 
 
+def test_chsh_operator_equals_kron_formula_bit_for_bit():
+    rng = np.random.default_rng(130)
+    for _ in range(20):
+        a, a_prime, b, b_prime = (v / np.linalg.norm(v) for v in rng.standard_normal((4, 3)))
+        settings = ChshSettings(a, a_prime, b, b_prime)
+
+        def bloch(v):
+            return v[0] * PAULIS[0] + v[1] * PAULIS[1] + v[2] * PAULIS[2]
+
+        oracle = (np.kron(bloch(a), bloch(b + b_prime))
+                  + np.kron(bloch(a_prime), bloch(b - b_prime)))
+        assert chsh_operator(settings).tobytes() == oracle.tobytes()
+
+
 def test_chsh_settings_validation():
     z = np.array([0.0, 0.0, 1.0])
     with pytest.raises(ValidationError, match="norm"):
@@ -207,6 +221,45 @@ def test_rejects_non_hermitian_two_qubit_input(measure):
 def test_bruteforce_input_validation():
     with pytest.raises(ValueError):
         chsh_bruteforce(np.eye(4) / 4, restarts=0)
+
+
+def non_density_two_qubit_states():
+    """Hermitian matrices that are not states, with CHSH values past 2 sqrt(2)."""
+    twice_bell = 2.0 * projector(bell_phi_plus())
+    # unit trace, T = diag(1.5, 0, 1.5)
+    unit_trace = (np.eye(4) + 1.5 * np.kron(PAULIS[0], PAULIS[0])
+                  + 1.5 * np.kron(PAULIS[2], PAULIS[2])) / 4
+    return twice_bell, unit_trace
+
+
+@pytest.mark.parametrize("measure", [chsh_nl, chsh_bruteforce], ids=["chsh_nl", "chsh_bruteforce"])
+def test_chsh_rejects_non_density_input(measure):
+    twice_bell, unit_trace = non_density_two_qubit_states()
+    with pytest.raises(ValidationError, match=(
+            r"^two-qubit state has trace (2\.0|1\.9999)\d*, deviating from 1")):
+        measure(twice_bell)
+    with pytest.raises(ValidationError, match=(
+            r"^two-qubit state is not a density matrix: T\^T T has eigenvalue 2\.25")):
+        measure(unit_trace)
+    stack = np.array([projector(bell_phi_plus())] * 3)
+    stack[1] = unit_trace
+    with pytest.raises(ValidationError, match=r"^two-qubit state \[1\] is not a density matrix"):
+        measure(stack)
+    stack[1] = twice_bell
+    with pytest.raises(ValidationError, match=r"^two-qubit state \[1\] has trace"):
+        measure(stack)
+
+
+def test_chsh_values_stay_within_tsirelson_bound():
+    # pure states reach the T^T T eigenvalue 1 and a trace of 1 only up to
+    # rounding, which the check tolerates
+    rng = np.random.default_rng(950)
+    states = np.array([random_two_qubit(rng, 1) for _ in range(20)]
+                      + [projector(bell_phi_plus())])
+    b_max, _ = chsh_nl(states)
+    bound = 2 * np.sqrt(2) + 1e-9
+    assert np.all(b_max <= bound)
+    assert np.all(chsh_bruteforce(states, restarts=4, iterations=50) <= bound)
 
 
 def test_concurrence_bell_state():

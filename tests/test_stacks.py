@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveparticle import cli, io, measures
+from waveparticle import cli, io, measures, nonlocality
 from waveparticle.channels import (
     ImpossibleOutcomeError,
     InformerModel,
@@ -39,6 +39,7 @@ from waveparticle.states import (
     ValidationError,
     eig_hermitian,
     hermitian_part,
+    projector,
     validate_density,
 )
 
@@ -115,6 +116,45 @@ def test_two_qubit_stack_matches_per_member_loop(seed, size):
         assert_same_bits(selected, single_selected)
         assert p_selected[i] == single_p_selected
         assert bell[i] == chsh_value(rho, directions)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6),
+       st.sampled_from([1, 2, 7, 200]))
+def test_bruteforce_stack_matches_per_member_calls(seed, size, restarts, iterations):
+    # I/4 has T = 0: every image has norm 0 and every row keeps its fallback
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_two_qubit(rng, int(rng.integers(1, 5))) for _ in range(size)]
+                     + [np.eye(4, dtype=complex) / 4])
+    kwargs = {"restarts": restarts, "iterations": iterations, "seed": seed % 5}
+    values = chsh_bruteforce(stack, **kwargs)
+    assert values.shape == (size + 1,)
+    for i, rho in enumerate(stack):
+        single = chsh_bruteforce(rho, **kwargs)
+        assert type(single) is float
+        assert_same_bits(values[i], single)
+
+
+def test_bruteforce_members_leave_the_ascent_at_their_own_iteration(monkeypatch):
+    rng = np.random.default_rng(12)
+    bell = projector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+    stack = np.array([random_two_qubit(rng, rank) for rank in (1, 2, 3, 4)]
+                     + [bell, np.eye(4) / 4]).reshape(2, 3, 4, 4)
+    leaving = []
+    best_restart = nonlocality._best_restart
+
+    def recording(t, *settings):
+        leaving.append(len(t))
+        return best_restart(t, *settings)
+
+    monkeypatch.setattr(nonlocality, "_best_restart", recording)
+    values = chsh_bruteforce(stack, restarts=5, iterations=1000)
+    assert len(leaving) > 2 and sum(leaving) == 6
+    assert values.shape == (2, 3)
+    monkeypatch.undo()
+    for index in np.ndindex(2, 3):
+        assert_same_bits(values[index], chsh_bruteforce(stack[index], restarts=5,
+                                                        iterations=1000))
 
 
 @settings(max_examples=30, deadline=None)
@@ -352,9 +392,6 @@ def test_gram_stack_names_bad_member():
 
 def test_single_state_functions_reject_stacks():
     stack = np.array([np.eye(4, dtype=complex) / 4] * 2)
-    with pytest.raises(ValidationError, match=re.escape(
-            "two-qubit state must be 4x4, got shape (2, 4, 4)")):
-        chsh_bruteforce(stack)
     with pytest.raises(ValidationError, match=re.escape(
             "state must be one matrix, got a stack of shape (2, 4, 4)")):
         purify(stack)

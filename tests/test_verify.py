@@ -8,7 +8,7 @@ compared a result with itself, would still pass.
 import numpy as np
 import pytest
 
-from waveparticle import measures, verify
+from waveparticle import measures, nonlocality, verify
 
 
 def with_last(values, change):
@@ -68,3 +68,35 @@ def test_check_07_reads_the_last_member(monkeypatch, name, change):
     result = verify.check_klein_bound()
     assert not result.passed
     assert result.residual >= 1e-8
+
+
+@pytest.mark.parametrize("amount", [1e-3, -1e-3])
+def test_check_08_reads_the_last_member(monkeypatch, amount):
+    monkeypatch.setattr(verify, "chsh_bruteforce", lambda rho, **kwargs: with_last(
+        nonlocality.chsh_bruteforce(rho, **kwargs), shift(amount)))
+    result = verify.check_chsh_oracle()
+    assert not result.passed
+    assert result.residual == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_check_09_reads_the_last_member(monkeypatch):
+    dephase = verify.dephase
+
+    def mutated(rho, k_obs):
+        out = dephase(rho, k_obs)
+        out.reshape(-1)[-1] += 1e-8
+        return out
+
+    monkeypatch.setattr(verify, "dephase", mutated)
+    result = verify.check_commutator_identity()
+    assert not result.passed
+    assert result.residual == pytest.approx(1e-8, rel=1e-3)
+
+
+def test_check_10_reads_the_last_member(monkeypatch):
+    tsallis_entropy = measures.tsallis_entropy
+    monkeypatch.setattr(measures, "tsallis_entropy", lambda rho, q=1.0: with_last(
+        tsallis_entropy(rho, q), shift(1e-8)))
+    result = verify.check_joint_entropy()
+    assert not result.passed
+    assert result.residual == pytest.approx(1e-8, rel=1e-3)

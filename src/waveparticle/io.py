@@ -95,7 +95,10 @@ def _decode_pair(entry, field: str) -> complex:
             or not (isinstance(entry[0], (int, float)) and isinstance(entry[1], (int, float)))
             or isinstance(entry[0], bool) or isinstance(entry[1], bool)):
         raise StateFormatError(field, f"expected a [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError:   # an integer literal beyond the float range
+        raise StateFormatError(field, "number too large for a float") from None
 
 
 def decode_vector(entries, field: str) -> np.ndarray:

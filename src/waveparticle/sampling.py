@@ -1,39 +1,46 @@
-"""Random states, bases, and distributions for property testing."""
+"""Seeded Ginibre draws and the maps that turn them into random matrices.
+
+`ginibre(rng, dim, size)` draws a stack `(*size, dim, dim)` of complex
+Gaussian matrices in one call. The stream is drawn in stack order, real part
+before imaginary part, so member i of a stack holds the numbers that the
+i-th of a loop of single draws would hold. The maps below take such a stack
+`(..., d, d)` and act on each member; on a stack each gives bit for bit what
+it gives on every member alone.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1.0j * rng.standard_normal((rows, cols))
+def ginibre(rng: np.random.Generator, dim: int, size: tuple = ()) -> np.ndarray:
+    """Stack (*size, dim, dim) of complex Ginibre matrices."""
+    parts = rng.standard_normal((*size, 2, dim, dim))
+    return parts[..., 0, :, :] + 1.0j * parts[..., 1, :, :]
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary (QR of a Ginibre matrix, phases fixed)."""
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
-    diag = np.diagonal(r).copy()
-    diag /= np.abs(diag)
-    return q * diag
+def haar_unitary(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries: QR of each Ginibre matrix, phases fixed."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random full-rank density matrix from a square Ginibre factor."""
-    g = _ginibre(rng, dim, dim)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def density(g: np.ndarray) -> np.ndarray:
+    """Random full-rank density matrices g g^H / Tr(g g^H)."""
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_full_rank_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random density matrix bounded away from singularity."""
-    rho = random_density(rng, dim)
-    return 0.95 * rho + 0.05 * np.eye(dim, dtype=complex) / dim
+def full_rank_density(g: np.ndarray) -> np.ndarray:
+    """Random density matrices bounded away from singularity."""
+    dim = g.shape[-1]
+    return 0.95 * density(g) + 0.05 * np.eye(dim, dtype=complex) / dim
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random Hermitian matrix with O(1) entries."""
-    g = _ginibre(rng, dim, dim)
-    return (g + g.conj().T) / 2.0
+def hermitian(g: np.ndarray) -> np.ndarray:
+    """Random Hermitian matrices (g + g^H) / 2 with O(1) entries."""
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
 def random_probabilities(rng: np.random.Generator, dim: int) -> np.ndarray:

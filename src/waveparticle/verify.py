@@ -50,23 +50,36 @@ def _entropies_q1_q2(matrices) -> dict[float, np.ndarray]:
             2.0: np.array([1.0 - np.sum(lam ** 2) for lam in spectra])}
 
 
-def _draws_by_dimension(rng: np.random.Generator, draw, count: int):
-    """Draw member i and then basis i, in dimension 2 + i % 7, for i < count.
+def _ginibre_pair(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A member's Ginibre factor and then a basis's, in one draw."""
+    return sampling.ginibre(rng, dim, (2,))
+
+
+def _probabilities_pair(rng: np.random.Generator, dim: int):
+    """A member's probability vector and then a basis's Ginibre factor."""
+    return sampling.random_probabilities(rng, dim), sampling.ginibre(rng, dim)
+
+
+def _draws_by_dimension(rng: np.random.Generator, count: int, draw=_ginibre_pair):
+    """Draw member i and then basis i's Ginibre factor, in dimension 2 + i % 7,
+    for i < count; draw(rng, dim) returns the pair.
 
     The draws keep the order of a loop over i; they are grouped into one
-    stack of members and one stacked observable per dimension.
+    stack of members and one stacked Haar-random observable per dimension.
     """
-    members, bases = {}, {}
+    members, factors = {}, {}
     for i in range(count):
         dim = 2 + (i % 7)
-        member = draw(rng, dim)
+        member, factor = draw(rng, dim)
         if i < 7:   # the first draw in its dimension sizes that dimension's stack
             size = len(range(i, count, 7))
             members[dim] = np.empty((size, *member.shape), dtype=member.dtype)
-            bases[dim] = np.empty((size, dim, dim), dtype=complex)
+            factors[dim] = np.empty((size, dim, dim), dtype=complex)
         members[dim][i // 7] = member
-        bases[dim][i // 7] = sampling.random_unitary(rng, dim)
-    return [(dim, members[dim], ReferenceObservable(bases[dim])) for dim in members]
+        factors[dim][i // 7] = factor
+    # popping each dimension's factors frees them once its unitaries exist
+    return [(dim, members[dim], ReferenceObservable(sampling.haar_unitary(factors.pop(dim))))
+            for dim in members]
 
 
 def _qubit_pair(a: float) -> np.ndarray:
@@ -156,8 +169,8 @@ def check_delayed_choice_forms() -> CheckResult:
 
 def check_complementarity() -> CheckResult:
     residual = 0.0
-    for dim, rho, obs in _draws_by_dimension(np.random.default_rng(6),
-                                             sampling.random_density, 1000):
+    for dim, g, obs in _draws_by_dimension(np.random.default_rng(6), 1000):
+        rho = sampling.density(g)
         before, after = _entropies_q1_q2(rho), _entropies_q1_q2(dephase(rho, obs))
         split = measures.duality(rho, obs, (1.0, 2.0))
         for i, q in enumerate((1.0, 2.0)):
@@ -172,8 +185,8 @@ def check_complementarity() -> CheckResult:
 
 def check_klein_bound() -> CheckResult:
     violation = -np.inf
-    for _, rho, obs in _draws_by_dimension(np.random.default_rng(7),
-                                           sampling.random_full_rank_density, 1000):
+    for _, g, obs in _draws_by_dimension(np.random.default_rng(7), 1000):
+        rho = sampling.full_rank_density(g)
         for iw, q in zip(measures.wavelike_info(rho, obs, (1.0, 2.0)), (1.0, 2.0)):
             ub = measures.wavelike_upper_bound(rho, obs, q)
             violation = max(violation, float(np.max(-iw)), float(np.max(iw - ub)))
@@ -184,7 +197,7 @@ def check_klein_bound() -> CheckResult:
 
 def check_chsh_oracle() -> CheckResult:
     rng = np.random.default_rng(8)
-    states = np.array([sampling.random_density(rng, 4) for _ in range(200)])
+    states = sampling.density(sampling.ginibre(rng, 4, (200,)))
     estimates = chsh_bruteforce(states, restarts=32, iterations=1000, seed=0)
     residual = 0.0
     overshoot = 0.0
@@ -199,8 +212,8 @@ def check_chsh_oracle() -> CheckResult:
 
 def check_commutator_identity() -> CheckResult:
     residual = 0.0
-    for dim, j, obs in _draws_by_dimension(np.random.default_rng(9),
-                                           sampling.random_hermitian, 500):
+    for dim, g, obs in _draws_by_dimension(np.random.default_rng(9), 500):
+        j = sampling.hermitian(g)
         total = np.zeros_like(j)
         for k in range(dim):
             p_k = obs.projector(k)
@@ -212,8 +225,8 @@ def check_commutator_identity() -> CheckResult:
 
 def check_joint_entropy() -> CheckResult:
     residual = 0.0
-    for dim, p, obs in _draws_by_dimension(np.random.default_rng(10),
-                                           sampling.random_probabilities, 500):
+    for dim, p, obs in _draws_by_dimension(np.random.default_rng(10), 500,
+                                           _probabilities_pair):
         rho = sum(p[:, k, None, None] * obs.projector(k) for k in range(dim))
         for entropy, p_i in zip(measures.tsallis_entropy(rho, 1.0).tolist(), p):
             residual = max(residual, abs(entropy - measures.shannon(p_i)))

@@ -133,6 +133,13 @@ class TestMeasures:
         assert (code, out) == (2, "")
         assert "field 'dims'" in err
 
+    def test_oversized_integer_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "big.json"
+        bad.write_text('{"dims": [2], "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400))
+        code, out, err = run_cli(capsys, "measures", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: field 'amplitudes': number too large for a float\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "measures", "/no/such/file.json")
         assert code == 2

@@ -118,7 +118,11 @@ class TestStateFiles:
         ('{"dims": [2], "amplitudes": [[NaN, 0], [0, 0]]}', "amplitudes"),
         ('{"dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', "matrix"),
         ('{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[Infinity, 0], [0, 0]]]}', "matrix"),
-    ], ids=["bool-number", "bool-dim", "nan-amplitude", "nan-matrix", "inf-matrix"])
+        ('{"dims": [2], "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400), "amplitudes"),
+        ('{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 1%s]]]}' % ("0" * 400),
+         "matrix"),
+    ], ids=["bool-number", "bool-dim", "nan-amplitude", "nan-matrix", "inf-matrix",
+            "oversized-amplitude", "oversized-matrix"])
     def test_mistyped_or_non_finite_numbers(self, text, field):
         with pytest.raises(io.StateFormatError) as err:
             io.parse_state(text)
@@ -163,6 +167,12 @@ class TestObservableFiles:
         })
         with pytest.raises(io.StateFormatError, match="orthonormal"):
             io.parse_observable(text)
+
+    def test_oversized_integer(self):
+        text = '{"dim": 2, "basis": [[[1%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % ("0" * 400)
+        with pytest.raises(io.StateFormatError, match="too large") as err:
+            io.parse_observable(text)
+        assert err.value.field == "basis"
 
     def test_bad_dim(self):
         with pytest.raises(io.StateFormatError) as err:

@@ -8,7 +8,7 @@ compared a result with itself, would still pass.
 import numpy as np
 import pytest
 
-from waveparticle import measures, nonlocality, verify
+from waveparticle import measures, nonlocality, sampling, verify
 
 
 def with_last(values, change):
@@ -100,3 +100,72 @@ def test_check_10_reads_the_last_member(monkeypatch):
     result = verify.check_joint_entropy()
     assert not result.passed
     assert result.residual == pytest.approx(1e-8, rel=1e-3)
+
+
+# The draw stream of checks 06-10, pinned to a loop of single draws with the
+# formulas the stacked maps replace: two `standard_normal` calls per Ginibre
+# factor and one QR per basis. A reordered or regrouped draw fails here.
+
+def two_call_ginibre(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
+
+
+def loop_unitary(rng, dim):
+    q, r = np.linalg.qr(two_call_ginibre(rng, dim))
+    diag = np.diagonal(r).copy()
+    diag /= np.abs(diag)
+    return q * diag
+
+
+def loop_density(rng, dim):
+    g = two_call_ginibre(rng, dim)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def loop_full_rank_density(rng, dim):
+    return 0.95 * loop_density(rng, dim) + 0.05 * np.eye(dim, dtype=complex) / dim
+
+
+def loop_hermitian(rng, dim):
+    g = two_call_ginibre(rng, dim)
+    return (g + g.conj().T) / 2.0
+
+
+def loop_probabilities(rng, dim):
+    return rng.dirichlet(np.ones(dim))
+
+
+@pytest.mark.parametrize("seed,draw,member_map,loop_member", [
+    (6, verify._ginibre_pair, sampling.density, loop_density),
+    (7, verify._ginibre_pair, sampling.full_rank_density, loop_full_rank_density),
+    (9, verify._ginibre_pair, sampling.hermitian, loop_hermitian),
+    (10, verify._probabilities_pair, lambda p: p, loop_probabilities),
+], ids=["06", "07", "09", "10"])
+def test_draws_by_dimension_keep_the_loop_stream(seed, draw, member_map, loop_member):
+    count = 40
+    rng = np.random.default_rng(seed)
+    members, bases = {}, {}
+    for i in range(count):
+        dim = 2 + i % 7
+        members.setdefault(dim, []).append(loop_member(rng, dim))
+        bases.setdefault(dim, []).append(loop_unitary(rng, dim))
+
+    draws = verify._draws_by_dimension(np.random.default_rng(seed), count, draw)
+    assert [dim for dim, _, _ in draws] == list(range(2, 9))
+    for dim, stack, obs in draws:
+        assert np.array_equal(member_map(stack), np.array(members[dim]))
+        assert np.array_equal(obs.columns, np.array(bases[dim]))
+
+
+def test_check_08_keeps_the_loop_stream(monkeypatch):
+    seen = []
+
+    def capture(states, **kwargs):
+        seen.append(states)
+        return nonlocality.chsh_bruteforce(states, **kwargs)
+
+    monkeypatch.setattr(verify, "chsh_bruteforce", capture)
+    assert verify.check_chsh_oracle().passed
+    rng = np.random.default_rng(8)
+    assert np.array_equal(seen[0], np.array([loop_density(rng, 4) for _ in range(200)]))

@@ -61,9 +61,7 @@ def cmd_measures(args) -> int:
     if args.basis is None:
         obs = ReferenceObservable.computational(dim)
     else:
-        obs = io.load_observable(args.basis)
-        if obs.dim != dim:
-            raise ValueError(f"basis dimension {obs.dim} does not match state dimension {dim}")
+        obs = io.load_observable(args.basis, dim)
     q = 1.0 if args.q is None else float(args.q)
     rho = loaded.density
     split = measures.duality(rho, obs, q)

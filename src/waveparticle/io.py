@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -101,20 +102,53 @@ def _decode_pair(entry, field: str) -> complex:
         raise StateFormatError(field, "number too large for a float") from None
 
 
+def _decode_array(value: list, depth: int) -> np.ndarray | None:
+    """n [re, im] pairs (depth 1) or n rows of n pairs (depth 2) as one complex
+    array with the bits of complex(re, im) per pair; None for anything else,
+    which the entry by entry decoding then names. Every number must be a JSON
+    int or float: np.array would also take true, null and "0.5" as numbers."""
+    n, pairs = len(value), value
+    try:
+        if depth == 2:
+            if set(map(len, value)) != {n}:
+                return None
+            pairs = list(itertools.chain.from_iterable(value))
+        if set(map(len, pairs)) != {2}:
+            return None
+    except TypeError:   # a number where a row or a pair belongs
+        return None
+    numbers = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        return np.array(numbers, dtype=float).view(complex).reshape((n,) * depth)
+    except OverflowError:   # an integer literal beyond the float range
+        return None
+
+
 def decode_vector(entries, field: str) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise StateFormatError(field, "expected a nonempty array of [re, im] pairs")
-    return np.array([_decode_pair(e, field) for e in entries], dtype=complex)
+    decoded = _decode_array(entries, 1)
+    if decoded is None:
+        decoded = np.array([_decode_pair(e, field) for e in entries], dtype=complex)
+    return decoded
+
+
+def _decode_square(rows: list, field: str, not_square: str) -> np.ndarray:
+    decoded = _decode_array(rows, 2)
+    if decoded is None:
+        vectors = [decode_vector(row, field) for row in rows]
+        if any(v.size != len(rows) for v in vectors):
+            raise StateFormatError(field, not_square)
+        decoded = np.array(vectors)
+    return decoded
 
 
 def decode_matrix(rows, field: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise StateFormatError(field, "expected a nonempty array of rows")
-    decoded = [decode_vector(row, field) for row in rows]
-    dim = len(decoded)
-    if any(row.size != dim for row in decoded):
-        raise StateFormatError(field, f"matrix is not square ({dim} rows)")
-    return np.array(decoded, dtype=complex)
+    return _decode_square(rows, field, f"matrix is not square ({len(rows)} rows)")
 
 
 def _parse_json(text: str, source: str):
@@ -122,6 +156,8 @@ def _parse_json(text: str, source: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError("json", f"{source}: {exc}") from None
+    except ValueError:   # int() refuses a literal beyond sys.get_int_max_str_digits()
+        raise StateFormatError("json", f"{source}: integer literal has too many digits") from None
 
 
 def _read_dims(payload, total: int) -> tuple[int, ...]:
@@ -190,30 +226,34 @@ def save_state(path: str, dims, matrix: np.ndarray | None = None,
         fh.write(dumps(state_payload(dims, matrix, amplitudes)))
 
 
-def parse_observable(text: str, source: str = "basis") -> ReferenceObservable:
+def parse_observable(text: str, source: str = "basis",
+                     state_dim: int | None = None) -> ReferenceObservable:
+    """The reference observable of a basis file; a state_dim given must equal
+    the file's dim, which is checked before anything of that size is built."""
     payload = _parse_json(text, source)
     if not isinstance(payload, dict):
         raise StateFormatError("json", f"{source}: top level must be an object")
     dim = payload.get("dim")
     if not _is_positive_int(dim):
         raise StateFormatError("dim", "expected a positive integer")
+    if state_dim is not None and dim != state_dim:
+        raise StateFormatError(
+            "dim", f"basis dimension {dim} does not match state dimension {state_dim}")
     if "basis" not in payload:
         return ReferenceObservable.computational(dim)
     rows = payload["basis"]
     if not isinstance(rows, list) or len(rows) != dim:
         raise StateFormatError("basis", f"expected {dim} basis vectors")
-    vectors = [decode_vector(row, "basis") for row in rows]
-    if any(v.size != dim for v in vectors):
-        raise StateFormatError("basis", "basis vector length does not match dim")
+    vectors = _decode_square(rows, "basis", "basis vector length does not match dim")
     try:
-        return ReferenceObservable.from_states(vectors)
+        return ReferenceObservable(vectors.T)
     except ValueError as exc:
         raise StateFormatError("basis", str(exc)) from None
 
 
-def load_observable(path: str) -> ReferenceObservable:
+def load_observable(path: str, state_dim: int | None = None) -> ReferenceObservable:
     with open(path, encoding="utf-8") as fh:
-        return parse_observable(fh.read(), path)
+        return parse_observable(fh.read(), path, state_dim)
 
 
 def report_payload(report: ExperimentReport) -> dict:

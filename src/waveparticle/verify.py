@@ -50,6 +50,17 @@ def _entropies_q1_q2(matrices) -> dict[float, np.ndarray]:
             2.0: np.array([1.0 - np.sum(lam ** 2) for lam in spectra])}
 
 
+def _dephased(rho: np.ndarray, obs: ReferenceObservable) -> np.ndarray:
+    """Sum over k of P_k rho P_k, with P_k = |k><k| made from basis column k;
+    rho and the basis may be stacks (n, d, d)."""
+    total = np.zeros_like(rho)
+    for k in range(obs.dim):
+        vec = obs.columns[..., :, k]
+        p_k = vec[..., :, None] * vec[..., None, :].conj()
+        total += p_k @ rho @ p_k
+    return total
+
+
 def _ginibre_pair(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A member's Ginibre factor and then a basis's, in one draw."""
     return sampling.ginibre(rng, dim, (2,))
@@ -171,7 +182,7 @@ def check_complementarity() -> CheckResult:
     residual = 0.0
     for dim, g, obs in _draws_by_dimension(np.random.default_rng(6), 1000):
         rho = sampling.density(g)
-        before, after = _entropies_q1_q2(rho), _entropies_q1_q2(dephase(rho, obs))
+        before, after = _entropies_q1_q2(rho), _entropies_q1_q2(_dephased(rho, obs))
         split = measures.duality(rho, obs, (1.0, 2.0))
         for i, q in enumerate((1.0, 2.0)):
             iw = split["wavelike"][i]

@@ -12,6 +12,7 @@ from waveparticle.channels import (
     dephase,
     measure_select,
     measure_select_joint,
+    _populations,
     populations,
     purify,
     reduced_from_informer,
@@ -124,6 +125,23 @@ class TestDephase:
 def test_populations_and_dephase_reject_invalid_state(function, state, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         function(state, ReferenceObservable.computational(2))
+
+
+class TestPopulationsKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 128])
+    def test_computational_basis_reads_the_diagonal_exactly(self, dim):
+        rho = random_density(dim)
+        obs = ReferenceObservable.computational(dim)
+        assert _populations(rho, obs).tobytes() == np.diagonal(rho).real.tobytes()
+
+    def test_large_basis_matches_the_rotated_diagonal(self):
+        dim = 128
+        rho = random_density(dim)
+        u = np.linalg.qr(RNG.standard_normal((dim, dim))
+                         + 1j * RNG.standard_normal((dim, dim)))[0]
+        expected = np.diagonal(u.conj().T @ rho @ u).real
+        np.testing.assert_allclose(_populations(rho, ReferenceObservable(u)), expected,
+                                   rtol=0, atol=1e-13)
 
 
 class TestMeasureSelect:

@@ -103,6 +103,15 @@ class TestMeasures:
         assert code == 2
         assert "dimension" in err
 
+    def test_huge_basis_dimension_rejected_before_allocating(self, capsys, balanced_state,
+                                                              tmp_path):
+        basis = tmp_path / "huge.json"
+        basis.write_text('{"dim": 1%s}' % ("0" * 400), encoding="utf-8")
+        code, out, err = run_cli(capsys, "measures", balanced_state, "--basis", str(basis))
+        assert (code, out) == (2, "")
+        assert err == (f"error: field 'dim': basis dimension 1{'0' * 400}"
+                       " does not match state dimension 2\n")
+
     def test_malformed_file_names_field(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dims": [2], "amplitudes": [[0.9, 0.0], [0.0, 0.0]]}',
@@ -139,6 +148,13 @@ class TestMeasures:
         code, out, err = run_cli(capsys, "measures", str(bad))
         assert (code, out) == (2, "")
         assert err == "error: field 'amplitudes': number too large for a float\n"
+
+    def test_integer_beyond_the_digit_limit_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"dims": [2], "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 5000))
+        code, out, err = run_cli(capsys, "measures", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'json': {bad}: integer literal has too many digits\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "measures", "/no/such/file.json")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveparticle import io
 from waveparticle.experiments import MziConfig, mzi_run
@@ -58,6 +60,102 @@ class TestMatrixCodec:
     def test_non_square_matrix(self):
         with pytest.raises(io.StateFormatError, match="square"):
             io.decode_matrix([[[1.0, 0.0], [0.0, 0.0]]] * 3, "matrix")
+
+
+# Every JSON number a file may hold: floats with NaN and the infinities, which
+# the decoder passes on and the state checks reject, -0.0, and integers above
+# 2**53 and beyond int64 that still fit a float.
+NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.integers(2 ** 53, 2 ** 1000).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.sampled_from([-0.0, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64 + 1]),
+)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+
+
+def entry_formula(parsed):
+    """The per-entry decoding: complex(re, im) of each [re, im] pair."""
+    if isinstance(parsed[0][0], list):
+        return np.array([[complex(*pair) for pair in row] for row in parsed])
+    return np.array([complex(*pair) for pair in parsed])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda d: st.one_of(
+    st.lists(PAIRS, min_size=d, max_size=d),
+    st.lists(st.lists(PAIRS, min_size=d, max_size=d), min_size=d, max_size=d))))
+def test_decoding_keeps_the_bits_of_complex(value):
+    parsed = json.loads(json.dumps(value))   # NaN and Infinity literals included
+    expected = entry_formula(parsed)
+    decode = io.decode_matrix if expected.ndim == 2 else io.decode_vector
+    decoded = decode(parsed, "field")
+    assert decoded.dtype == complex and decoded.shape == expected.shape
+    assert decoded.tobytes() == expected.tobytes()
+
+
+def vector_with(bad):
+    return "[[1, 0], %s]" % bad
+
+
+def matrix_with(bad):
+    return "[[[1, 0], [0, 0]], [%s, [1, 0]]]" % bad
+
+
+def parse_file(field, value):
+    if field == "basis":
+        return io.parse_observable('{"dim": 2, "basis": %s}' % value)
+    return io.parse_state('{"dims": [2], "%s": %s}' % (field, value))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["amplitudes", "matrix", "basis"])
+def test_non_finite_literals_rejected_downstream(field, literal):
+    bad = "[%s, 0]" % literal
+    with pytest.raises(io.StateFormatError) as err:
+        parse_file(field, vector_with(bad) if field == "amplitudes" else matrix_with(bad))
+    assert err.value.field == field
+
+
+BAD_ENTRIES = {
+    "true": ("[true, 0]", "expected a [re, im] pair, got [True, 0]"),
+    "null": ("[null, 0]", "expected a [re, im] pair, got [None, 0]"),
+    "string": ('["0.5", 0]', "expected a [re, im] pair, got ['0.5', 0]"),
+    "short-pair": ("[1]", "expected a [re, im] pair, got [1]"),
+    "long-pair": ("[1, 0, 0]", "expected a [re, im] pair, got [1, 0, 0]"),
+    "nested-pair": ("[[1, 0], 0]", "expected a [re, im] pair, got [[1, 0], 0]"),
+    "bare-number": ("0.5", "expected a [re, im] pair, got 0.5"),
+    "oversized-integer": ("[1%s, 0]" % ("0" * 400), "number too large for a float"),
+}
+# malformed rows, with the message each field gives
+BAD_ROWS = {
+    "ragged-row": ("[[[1, 0], [0, 0]], [[1, 0]]]", {
+        "matrix": "matrix is not square (2 rows)",
+        "basis": "basis vector length does not match dim"}),
+    "empty-row": ("[[[1, 0], [0, 0]], []]", {
+        "matrix": "expected a nonempty array of [re, im] pairs",
+        "basis": "expected a nonempty array of [re, im] pairs"}),
+    "non-square": ("[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]", {
+        "matrix": "matrix is not square (2 rows)",
+        "basis": "basis vector length does not match dim"}),
+}
+REJECTIONS = [
+    *[(field, name, (vector_with if field == "amplitudes" else matrix_with)(bad), message)
+      for name, (bad, message) in BAD_ENTRIES.items()
+      for field in ("amplitudes", "matrix", "basis")],
+    *[(field, name, rows, messages[field])
+      for name, (rows, messages) in BAD_ROWS.items() for field in ("matrix", "basis")],
+    ("amplitudes", "empty", "[]", "expected a nonempty array of [re, im] pairs"),
+]
+
+
+@pytest.mark.parametrize("field,value,message",
+                         [(field, value, message) for field, _, value, message in REJECTIONS],
+                         ids=[f"{field}-{name}" for field, name, _, _ in REJECTIONS])
+def test_rejection_message_is_pinned(field, value, message):
+    with pytest.raises(io.StateFormatError) as err:
+        parse_file(field, value)
+    assert str(err.value) == f"field {field!r}: {message}"
 
 
 class TestStateFiles:
@@ -128,6 +226,12 @@ class TestStateFiles:
             io.parse_state(text)
         assert err.value.field == field
 
+    def test_integer_beyond_the_digit_limit(self):
+        text = '{"dims": [2], "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 5000)
+        with pytest.raises(io.StateFormatError) as err:
+            io.parse_state(text, "big.json")
+        assert str(err.value) == "field 'json': big.json: integer literal has too many digits"
+
     def test_unnormalized_amplitudes(self):
         with pytest.raises(io.StateFormatError) as err:
             io.parse_state('{"dims": [2], "amplitudes": [[0.9, 0.0], [0.0, 0.0]]}')
@@ -173,6 +277,28 @@ class TestObservableFiles:
         with pytest.raises(io.StateFormatError, match="too large") as err:
             io.parse_observable(text)
         assert err.value.field == "basis"
+
+    def test_integer_beyond_the_digit_limit(self):
+        text = '{"dim": 2, "basis": [[[1%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % ("0" * 5000)
+        with pytest.raises(io.StateFormatError) as err:
+            io.parse_observable(text, "big.json")
+        assert str(err.value) == "field 'json': big.json: integer literal has too many digits"
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 3}',
+        '{"dim": 3, "basis": "not checked"}',
+        # would not fit in memory: only the comparison may run
+        '{"dim": 1%s}' % ("0" * 400),
+    ], ids=["computational", "explicit", "huge"])
+    def test_dim_checked_against_the_state_first(self, text):
+        with pytest.raises(io.StateFormatError) as err:
+            io.parse_observable(text, state_dim=2)
+        dim = json.loads(text)["dim"]
+        assert str(err.value) == (
+            f"field 'dim': basis dimension {dim} does not match state dimension 2")
+
+    def test_matching_dim_is_accepted(self):
+        assert io.parse_observable('{"dim": 2}', state_dim=2).dim == 2
 
     def test_bad_dim(self):
         with pytest.raises(io.StateFormatError) as err:

@@ -8,7 +8,7 @@ compared a result with itself, would still pass.
 import numpy as np
 import pytest
 
-from waveparticle import measures, nonlocality, sampling, verify
+from waveparticle import channels, measures, nonlocality, sampling, verify
 
 
 def with_last(values, change):
@@ -55,6 +55,21 @@ def test_check_06_reads_the_last_member(monkeypatch, shifts):
     result = verify.check_complementarity()
     assert not result.passed
     assert result.residual == pytest.approx(1e-8, rel=1e-3)
+
+
+def test_check_06_catches_swapped_conjugates_in_the_populations(monkeypatch):
+    # <k|rho^T|k> instead of <k|rho|k>: wrong in any complex basis, and the
+    # duality's sum ln_q d still holds, so within check 06 only the oracle,
+    # which dephases without this kernel, can catch it
+    def swapped(rho, k_obs):
+        u = k_obs.columns
+        return np.einsum("...ak,...ak->...k", u, rho @ u.conj()).real
+
+    monkeypatch.setattr(channels, "_populations", swapped)
+    monkeypatch.setattr(measures, "_populations", swapped)
+    result = verify.check_complementarity()
+    assert not result.passed
+    assert result.residual > 1e-3
 
 
 @pytest.mark.parametrize("name,change", [

@@ -22,7 +22,8 @@ from .experiments import (
     mzi_run,
     wave_detector_run,
 )
-from .nonlocality import chsh_nl, concurrence
+from .nonlocality import _chsh_nl, _concurrence, _correlations
+from .states import _certified_spectrum
 from .verify import run_checks
 
 _AMP_NORM_TOL = 1e-4
@@ -62,9 +63,11 @@ def cmd_measures(args) -> int:
         obs = ReferenceObservable.computational(dim)
     else:
         obs = io.load_observable(args.basis, dim)
-    q = 1.0 if args.q is None else float(args.q)
-    rho = loaded.density
-    split = measures.duality(rho, obs, q)
+    q = 1.0 if args.q is None else measures._check_q(args.q)
+    two_qubit = tuple(loaded.dims) == (2, 2)
+    # one spectrum of the state, shared by the split, CHSH and concurrence
+    rho, lam, vectors = _certified_spectrum(loaded.density, vectors=two_qubit)
+    split = measures._duality(rho, lam, obs, q)
     residual = abs(split["wavelike"] + split["particlelike"] - measures.max_entropy(dim, q))
     payload = {
         "q": q,
@@ -72,11 +75,11 @@ def cmd_measures(args) -> int:
         **split,
         "complementarity_residual": residual,
     }
-    if tuple(loaded.dims) == (2, 2):
-        b_max, n_l = chsh_nl(rho)
+    if two_qubit:
+        b_max, n_l = _chsh_nl(rho, _correlations(rho))
         payload["chsh_max"] = b_max
         payload["nonlocality"] = n_l
-        payload["concurrence"] = concurrence(rho)
+        payload["concurrence"] = _concurrence(lam, vectors)
     sys.stdout.write(io.dumps(payload))
     return 0
 

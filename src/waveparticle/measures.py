@@ -11,12 +11,11 @@ import numpy as np
 from .channels import ReferenceObservable, _check_dims, _dephase, _populations, dephase
 from .states import (
     ValidationError,
+    _certified_spectrum,
     _check_spectrum,
     _clamp,
     _reject_first,
     _unstack,
-    eig_hermitian,
-    hermitian_part,
 )
 
 FULL_RANK_TOL = 1e-12
@@ -54,7 +53,7 @@ def tsallis_entropy(rho, q: float = 1.0):
     below -1e-9 is rejected.
     """
     q = _check_q(q)
-    lam = _check_spectrum(np.linalg.eigvalsh(hermitian_part(rho, name="state")))
+    _, lam, _ = _certified_spectrum(rho)
     return _unstack(_spectral_entropy(lam, q))
 
 
@@ -104,14 +103,20 @@ def duality(rho, k_obs: ReferenceObservable, q=1.0) -> dict:
     observable pairs basis i with state i, or with the one state given.
     q may be a 1-d sequence of orders: each value then gets a leading order
     axis, and each order the bits it would get alone."""
+    for order in np.asarray(q, dtype=float).reshape(-1):
+        _check_q(order)
+    rho, lam, _ = _certified_spectrum(rho)
+    return _duality(rho, lam, k_obs, q)
+
+
+def _duality(rho: np.ndarray, lam: np.ndarray, k_obs: ReferenceObservable, q) -> dict:
+    """duality of a Hermitian rho, given its checked ascending spectrum lam
+    and checked orders q."""
     orders = np.asarray(q, dtype=float)
-    checked = [_check_q(order) for order in orders.reshape(-1)]
-    rho = hermitian_part(rho, name="state")
-    lam = _check_spectrum(np.linalg.eigvalsh(rho))
     spectra = np.array(np.broadcast_arrays(
         lam, np.sort(_populations(_check_dims(rho, k_obs), k_obs))))
-    values = np.empty((len(checked), 4, *spectra.shape[1:-1]))   # (order, key, ...)
-    for j, order in enumerate(checked):
+    values = np.empty((orders.size, 4, *spectra.shape[1:-1]))   # (order, key, ...)
+    for j, order in enumerate(orders.reshape(-1).tolist()):
         entropy, dephased_entropy = _spectral_entropy(spectra, order)
         dephased_information, wavelike = _clamp(np.array([
             max_entropy(k_obs.dim, order) - dephased_entropy, dephased_entropy - entropy]))
@@ -141,11 +146,9 @@ def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0):
     not full rank is named by its index.
     """
     q = _check_q(q)
-    rho = np.asarray(rho, dtype=complex)
-    w, v = eig_hermitian(rho)
-    _check_spectrum(w[..., ::-1])
+    rho, w, v = _certified_spectrum(rho, name="matrix", vectors=True)
     if q <= 1.0:
-        smallest = w[..., -1]
+        smallest = w[..., 0]
         _reject_first(smallest <= FULL_RANK_TOL, lambda index, at: (
             f"state{at} must be full rank for order q = {q}: "
             f"min eigenvalue {float(smallest[index]):.3e}"), ValueError)

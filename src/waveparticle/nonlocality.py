@@ -7,12 +7,11 @@ import numpy as np
 from .states import (
     DEFAULT_TOL,
     ValidationError,
-    _check_spectrum,
+    _certified_spectrum,
     _check_unit_norm,
     _clamp,
     _reject_first,
     _unstack,
-    eig_hermitian,
     hermitian_part,
     hs_norm_sq,
     partial_trace,
@@ -32,11 +31,15 @@ _PAULI_PRODUCTS.setflags(write=False)
 _UNIT_EPS = 1e-14
 
 
-def _check_two_qubit(rho) -> np.ndarray:
+def _two_qubit(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValidationError(f"two-qubit state must be 4x4, got shape {rho.shape}")
-    return hermitian_part(rho, name="two-qubit state")
+    return rho
+
+
+def _check_two_qubit(rho) -> np.ndarray:
+    return hermitian_part(_two_qubit(rho), name="two-qubit state")
 
 
 def correlation_matrix(rho) -> np.ndarray:
@@ -83,6 +86,12 @@ def chsh_nl(rho):
     t = correlation_matrix(rho)
     # rho passed the Hermiticity check, and its diagonal's real part is that
     # of its Hermitian part
+    return _chsh_nl(rho, t)
+
+
+def _chsh_nl(rho, t: np.ndarray):
+    """chsh_nl of two-qubit matrices rho that passed the Hermiticity check,
+    given their correlation tensors t."""
     u = _chsh_spectrum(rho, t)
     b_max = 2.0 * np.sqrt(_clamp(u[..., -1] + u[..., -2]))
     n_l = _clamp(b_max * b_max / 4.0 - 1.0)
@@ -217,16 +226,21 @@ def concurrence(rho):
     evaluated as singular values of (V sqrt(L))^T (sy x sy) (V sqrt(L)), an
     algebraically identical form that avoids square roots of eigensolver
     noise near zero. A float for one state; a stack (..., 4, 4) gives an
-    array from one batched eig_hermitian and svd. The spectrum must be that of
-    a density matrix; the first member of a stack that fails is named.
+    array from one batched eigh and svd. The spectrum must be that of a
+    density matrix; the first member of a stack that fails is named.
     """
-    rho = _check_two_qubit(rho)
-    w, v = eig_hermitian(rho)
-    _check_spectrum(w[..., ::-1])
+    _, w, v = _certified_spectrum(_two_qubit(rho), name="two-qubit state", vectors=True)
+    return _unstack(_concurrence(w, v))
+
+
+def _concurrence(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Concurrence from a checked spectrum w and eigenvectors v of any phases:
+    they change the core only by a unitary congruence, which keeps its
+    singular values."""
     factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     core = factor.swapaxes(-1, -2) @ _SPIN_FLIP @ factor
     s = np.linalg.svd(core, compute_uv=False)
-    return _unstack(_clamp(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]))
+    return _clamp(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
 
 
 def linear_entanglement(psi, split):

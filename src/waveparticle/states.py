@@ -146,6 +146,21 @@ def hermitian_part(m, *, name: str = "matrix") -> np.ndarray:
     return (m + adjoint) / 2.0
 
 
+def _certified_spectrum(m, *, name: str = "state", vectors: bool = False):
+    """Hermitian part of m, its ascending spectrum checked as that of a
+    density matrix, and with vectors=True eigh's column eigenvectors (else None).
+
+    The eigenvectors keep the phases eigh gives them: a caller may use them
+    only in forms that do not depend on those phases, such as V f(w) V^H.
+    """
+    h = hermitian_part(m, name=name)
+    if vectors:
+        w, v = np.linalg.eigh(h)
+    else:
+        w, v = np.linalg.eigvalsh(h), None
+    return h, _check_spectrum(w), v
+
+
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian matrix or a stack (..., d, d).
 
@@ -205,8 +220,9 @@ def validate_density(rho) -> np.ndarray:
     trace = np.trace(rho, axis1=-2, axis2=-1)
     _reject_first(np.abs(trace - 1.0) > DEFAULT_TOL, lambda index, at: (
         f"trace{at} = {complex(trace[index]):.12g} deviates from 1 beyond {DEFAULT_TOL:.1e}"))
-    w, v = eig_hermitian(rho)
-    smallest = w[..., -1]
+    # V diag(w) V^H does not depend on the eigenvector phases, so none are fixed
+    w, v = np.linalg.eigh(rho)
+    smallest = w[..., 0]
     _reject_first(smallest < -DEFAULT_TOL, lambda index, at: (
         f"negative eigenvalue{at} {float(smallest[index]):.3e} beyond -{DEFAULT_TOL:.1e}"))
     w = np.clip(w, 0.0, 1.0)

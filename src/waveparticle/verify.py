@@ -25,7 +25,7 @@ from .experiments import (
     path_basis,
     wave_detector_run,
 )
-from .nonlocality import chsh_bruteforce, chsh_nl
+from .nonlocality import chsh_bruteforce, chsh_nl, concurrence
 from .states import basis_state, projector
 
 
@@ -91,6 +91,19 @@ def _draws_by_dimension(rng: np.random.Generator, count: int, draw=_ginibre_pair
     # popping each dimension's factors frees them once its unitaries exist
     return [(dim, members[dim], ReferenceObservable(sampling.haar_unitary(factors.pop(dim))))
             for dim in members]
+
+
+# sigma_y x sigma_y, written out
+_SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+                      dtype=complex)
+
+
+def _wootters_concurrence(states: np.ndarray) -> np.ndarray:
+    """Concurrence of each state of a stack (n, 4, 4) from the square roots of
+    the eigenvalues of rho (sy x sy) rho* (sy x sy), largest first."""
+    flipped = states @ _SPIN_FLIP @ states.conj() @ _SPIN_FLIP
+    roots = np.sort(np.sqrt(np.clip(np.linalg.eigvals(flipped).real, 0.0, None)), axis=-1)
+    return np.maximum(0.0, roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0])
 
 
 def _qubit_pair(a: float) -> np.ndarray:
@@ -201,9 +214,12 @@ def check_klein_bound() -> CheckResult:
         for iw, q in zip(measures.wavelike_info(rho, obs, (1.0, 2.0)), (1.0, 2.0)):
             ub = measures.wavelike_upper_bound(rho, obs, q)
             violation = max(violation, float(np.max(-iw)), float(np.max(iw - ub)))
+            if q == 2.0:    # the slope is 2 rho - 1, so the bound is exactly 2 I_w
+                violation = max(violation, float(np.max(np.abs(ub - 2.0 * iw))))
     residual = max(0.0, violation)
     return CheckResult("07_klein_bound_sandwich", violation < 1e-10,
-                       residual, 1e-10, "1000 random full-rank states, q in {1,2}")
+                       residual, 1e-10,
+                       "1000 random full-rank states, q in {1,2}; bound = 2 I_w at q = 2")
 
 
 def check_chsh_oracle() -> CheckResult:
@@ -216,9 +232,12 @@ def check_chsh_oracle() -> CheckResult:
         b_max, _ = chsh_nl(rho)
         residual = max(residual, abs(b_max - estimate))
         overshoot = max(overshoot, estimate - b_max)
-    passed = residual < 1e-4 and overshoot < 1e-9
+    # the states are full rank, so every singular value's sign shows
+    wootters = float(np.max(np.abs(concurrence(states) - _wootters_concurrence(states))))
+    passed = residual < 1e-4 and overshoot < 1e-9 and wootters < 1e-10
     return CheckResult("08_chsh_oracle_agreement", passed, residual, 1e-4,
-                       f"200 random two-qubit states; overshoot {overshoot:.3e}")
+                       f"200 random two-qubit states; overshoot {overshoot:.3e}; "
+                       f"concurrence vs Wootters {wootters:.3e} (bound 1e-10)")
 
 
 def check_commutator_identity() -> CheckResult:

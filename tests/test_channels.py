@@ -45,6 +45,12 @@ class TestReferenceObservable:
         np.testing.assert_array_equal(obs.columns, np.eye(3))
         np.testing.assert_array_equal(obs.vector(2), basis_state(3, 2))
 
+    @pytest.mark.parametrize("dim", [1, 4, 128])
+    def test_computational_columns_are_exactly_the_identity(self, dim):
+        columns = ReferenceObservable.computational(dim).columns
+        assert columns.dtype == complex
+        assert np.array_equal(columns, np.eye(dim))
+
     def test_from_states(self):
         obs = ReferenceObservable.from_states([basis_state(2, 1), basis_state(2, 0)])
         np.testing.assert_array_equal(obs.vector(0), basis_state(2, 1))
@@ -55,7 +61,8 @@ class TestReferenceObservable:
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValidationError, match="orthonormal"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "basis is not orthonormal: max |U^H U - 1| = 1.000e+00 exceeds 1.0e-09")):
             ReferenceObservable(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from waveparticle import cli, io
+from waveparticle import cli, io, measures
+from waveparticle.channels import ReferenceObservable
+from waveparticle.nonlocality import chsh_nl, concurrence
 from waveparticle.verify import CheckResult
 
 
@@ -71,6 +73,67 @@ class TestMeasures:
         assert payload["chsh_max"] == pytest.approx(2 * np.sqrt(2), abs=1e-10)
         assert payload["nonlocality"] == pytest.approx(1.0, abs=1e-10)
         assert payload["concurrence"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("kind,solves", [("amplitudes", 1), ("matrix", 2)])
+    def test_two_qubit_state_solved_once_per_certification(self, capsys, tmp_path,
+                                                           monkeypatch, kind, solves):
+        # amplitudes: the shared spectrum only; a matrix: the repair, then that spectrum
+        psi = np.array([0.6, 0.0, 0.0, 0.8j])
+        payload = ({"amplitudes": io.encode_vector(psi)} if kind == "amplitudes"
+                   else {"matrix": io.encode_matrix(np.outer(psi, psi.conj()))})
+        path = write_state(tmp_path, "two_qubit.json", dims=[2, 2], **payload)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(m, *args, solver=solver, name=name, **kwargs):
+                if np.shape(m)[-2:] == (4, 4):
+                    calls.append(name)
+                return solver(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, out, _ = run_cli(capsys, "measures", path)
+        assert code == 0 and "concurrence" in json.loads(out)
+        assert calls == ["eigh"] * solves
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("q", [None, "2", "0.5"])
+    def test_two_qubit_output_matches_public_measures(self, capsys, tmp_path, seed, q):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = g @ g.conj().T
+        path = write_state(tmp_path, "mixed22.json", dims=[2, 2],
+                           matrix=io.encode_matrix(rho / np.trace(rho).real))
+        code, out, _ = run_cli(capsys, "measures", path, *(() if q is None else ("--q", q)))
+        assert code == 0
+        payload = json.loads(out)
+        density = io.load_state(path).density
+        order = 1.0 if q is None else float(q)
+        split = measures.duality(density, ReferenceObservable.computational(4), order)
+        chsh_max, violation = chsh_nl(density)
+        expected = {**split, "chsh_max": chsh_max, "nonlocality": violation,
+                    "concurrence": concurrence(density)}
+        for key, value in expected.items():
+            assert abs(payload[key] - value) <= 1e-14, key
+
+    @pytest.mark.parametrize("defect,message", [
+        ("non-Hermitian", "density matrix is not Hermitian: max |M - M^H| = 1.000e-03 "
+                          "exceeds 1.0e-09"),
+        ("trace", "trace = 1.01+0j deviates from 1 beyond 1.0e-09"),
+        ("negative", "negative eigenvalue -1.000e-06 beyond -1.0e-09"),
+    ])
+    def test_defective_two_qubit_matrix_rejected(self, capsys, tmp_path, defect, message):
+        u, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))
+        lam = {"negative": [-1e-6, 0.2, 0.3, 0.5 + 1e-6]}.get(defect, [0.1, 0.2, 0.3, 0.4])
+        m = (u * lam) @ u.T.astype(complex)
+        if defect == "non-Hermitian":
+            m[0, 1] += 1e-3
+        elif defect == "trace":
+            m *= 1.01
+        path = write_state(tmp_path, "bad22.json", dims=[2, 2], matrix=io.encode_matrix(m))
+        code, out, err = run_cli(capsys, "measures", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'matrix': {message}\n"
 
     def test_dim4_without_split_has_no_extras(self, capsys, tmp_path):
         s = 0.5

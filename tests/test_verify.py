@@ -74,6 +74,8 @@ def test_check_06_catches_swapped_conjugates_in_the_populations(monkeypatch):
 
 @pytest.mark.parametrize("name,change", [
     ("wavelike_upper_bound", shift(-1.0)),
+    # still above I_w, so only the exact q = 2 identity bound = 2 I_w catches it
+    pytest.param("wavelike_upper_bound", lambda value: 2.0 * value, id="bound_doubled"),
     ("wavelike_info", lambda value: -1e-8),
 ])
 def test_check_07_reads_the_last_member(monkeypatch, name, change):
@@ -92,6 +94,21 @@ def test_check_08_reads_the_last_member(monkeypatch, amount):
     result = verify.check_chsh_oracle()
     assert not result.passed
     assert result.residual == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_check_08_catches_a_sign_error_in_the_concurrence(monkeypatch):
+    # s0 - s1 - s2 + s3: the same value wherever the smallest singular value
+    # is 0, so only full-rank states can show it
+    def plus_last(w, v):
+        factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+        core = factor.swapaxes(-1, -2) @ nonlocality._SPIN_FLIP @ factor
+        s = np.linalg.svd(core, compute_uv=False)
+        return np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] + s[..., 3])
+
+    monkeypatch.setattr(nonlocality, "_concurrence", plus_last)
+    result = verify.check_chsh_oracle()
+    assert not result.passed
+    assert result.residual < result.tolerance   # the CHSH comparison still holds
 
 
 def test_check_09_reads_the_last_member(monkeypatch):

@@ -30,6 +30,14 @@ def _check_q(q: float) -> float:
     return q
 
 
+def _check_orders(q) -> np.ndarray:
+    """q, one order or a sequence of them, as a float array, each order checked."""
+    orders = np.asarray(q, dtype=float)
+    for order in orders.reshape(-1):
+        _check_q(order)
+    return orders
+
+
 def shannon(p) -> float:
     """Shannon entropy -sum p ln p in nats, with the 0 ln 0 = 0 convention;
     p is checked as the spectrum of diag(p), as tsallis_entropy would check it."""
@@ -103,8 +111,7 @@ def duality(rho, k_obs: ReferenceObservable, q=1.0) -> dict:
     observable pairs basis i with state i, or with the one state given.
     q may be a 1-d sequence of orders: each value then gets a leading order
     axis, and each order the bits it would get alone."""
-    for order in np.asarray(q, dtype=float).reshape(-1):
-        _check_q(order)
+    _check_orders(q)
     rho, lam, _ = _certified_spectrum(rho)
     return _duality(rho, lam, k_obs, q)
 
@@ -135,7 +142,7 @@ def wavelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
     return duality(rho, k_obs, q)["wavelike"]
 
 
-def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0):
+def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q=1.0):
     """First-order bound on the wavelike information.
 
     Evaluates Tr[(rho - dephased) f'(rho)] where f is the spectral density
@@ -143,19 +150,26 @@ def wavelike_upper_bound(rho, k_obs: ReferenceObservable, q: float = 1.0):
     at a zero eigenvalue for q <= 1, so the state must be full rank there; for
     q > 1 a zero eigenvalue takes the limit ln_q(0) = -1/(q - 1). A float for
     one matrix, an array for a stack (..., d, d); the first member that is
-    not full rank is named by its index.
+    not full rank is named by its index. As in duality, q may be a 1-d
+    sequence of orders: the bound then gets a leading order axis, from one
+    eigensolve, and each order the bits it would get alone.
     """
-    q = _check_q(q)
+    orders = _check_orders(q)
     rho, w, v = _certified_spectrum(rho, name="matrix", vectors=True)
-    if q <= 1.0:
+    singular = orders[orders <= 1.0]
+    if singular.size:
         smallest = w[..., 0]
         _reject_first(smallest <= FULL_RANK_TOL, lambda index, at: (
-            f"state{at} must be full rank for order q = {q}: "
+            f"state{at} must be full rank for order q = {float(singular[0])}: "
             f"min eigenvalue {float(smallest[index]):.3e}"), ValueError)
     log_w = np.log(w, out=np.full_like(w, -np.inf), where=w > 0.0)
-    slope = (v * (1.0 + q * _ln_q(log_w, q))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    v_h = v.conj().swapaxes(-1, -2)
     delta = rho - _dephase(_check_dims(rho, k_obs), k_obs)
-    return _unstack(np.trace(delta @ slope, axis1=-2, axis2=-1).real)
+    bounds = np.array([
+        np.trace(delta @ ((v * (1.0 + order * _ln_q(log_w, order))[..., None, :]) @ v_h),
+                 axis1=-2, axis2=-1).real
+        for order in orders.reshape(-1).tolist()])
+    return _unstack(bounds.reshape(orders.shape + bounds.shape[1:]))
 
 
 def particlelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:

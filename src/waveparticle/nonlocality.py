@@ -151,9 +151,16 @@ def _expectation(rho: np.ndarray, operator: np.ndarray) -> np.ndarray:
 
 def _unit_rows(rows: np.ndarray, fallback: np.ndarray):
     """Each row (..., 3) over its norm, or the fallback row where the norm is
-    not above _UNIT_EPS; and the norms (..., 1), summed as np.linalg.norm does."""
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
-    return np.divide(rows, norms, out=fallback.copy(), where=norms > _UNIT_EPS), norms
+    not above _UNIT_EPS; and the norms (..., 1). The squares are added left to
+    right, as np.linalg.norm adds three but without its strided reduction, so
+    every other row gets the bits of rows / np.linalg.norm(rows, axis=-1,
+    keepdims=True)."""
+    sq = rows * rows
+    norms = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])[..., None]
+    unit = norms > _UNIT_EPS
+    if unit.all():
+        return rows / norms, norms
+    return np.divide(rows, norms, out=fallback.copy(), where=unit), norms
 
 
 def _best_restart(t, a, a_prime, b, b_prime) -> np.ndarray:
@@ -237,7 +244,7 @@ def _concurrence(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Concurrence from a checked spectrum w and eigenvectors v of any phases:
     they change the core only by a unitary congruence, which keeps its
     singular values."""
-    factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    factor = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     core = factor.swapaxes(-1, -2) @ _SPIN_FLIP @ factor
     s = np.linalg.svd(core, compute_uv=False)
     return _clamp(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])

@@ -44,10 +44,19 @@ def _entropy_terms(probabilities) -> float:
 
 def _entropies_q1_q2(matrices) -> dict[float, np.ndarray]:
     """Von Neumann and linear entropy of each matrix of a stack (n, d, d),
-    summed term by term from its clipped spectrum."""
+    from its clipped spectrum.
+
+    The terms -lam ln lam over lam > 1e-15 are formed on the whole stack and
+    added column by column from the left, the order in which Python's sum
+    adds one spectrum's terms; numpy's pairwise sum would reorder them at
+    d = 8.
+    """
     spectra = np.clip(np.linalg.eigvalsh(matrices), 0.0, None)
-    return {1.0: np.array([_entropy_terms(lam) for lam in spectra]),
-            2.0: np.array([1.0 - np.sum(lam ** 2) for lam in spectra])}
+    terms = -spectra * np.log(spectra, out=np.zeros_like(spectra), where=spectra > 1e-15)
+    von_neumann = np.zeros(len(spectra))
+    for column in terms.T:
+        von_neumann += column
+    return {1.0: von_neumann, 2.0: 1.0 - np.sum(spectra ** 2, axis=-1)}
 
 
 def _dephased(rho: np.ndarray, obs: ReferenceObservable) -> np.ndarray:
@@ -61,36 +70,52 @@ def _dephased(rho: np.ndarray, obs: ReferenceObservable) -> np.ndarray:
     return total
 
 
-def _ginibre_pair(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A member's Ginibre factor and then a basis's, in one draw."""
-    return sampling.ginibre(rng, dim, (2,))
+def _observable(factors: np.ndarray) -> ReferenceObservable:
+    """The stacked Haar-random observable of a stack of Ginibre factors."""
+    return ReferenceObservable(sampling.haar_unitary(factors))
 
 
-def _probabilities_pair(rng: np.random.Generator, dim: int):
-    """A member's probability vector and then a basis's Ginibre factor."""
-    return sampling.random_probabilities(rng, dim), sampling.ginibre(rng, dim)
+def _draws_by_dimension(rng: np.random.Generator, count: int):
+    """Member i's Ginibre factor and then basis i's, in dimension 2 + i % 7,
+    for i < count, yielded as one stack of members and one stacked
+    Haar-random observable per dimension, in ascending dimension.
 
-
-def _draws_by_dimension(rng: np.random.Generator, count: int, draw=_ginibre_pair):
-    """Draw member i and then basis i's Ginibre factor, in dimension 2 + i % 7,
-    for i < count; draw(rng, dim) returns the pair.
-
-    The draws keep the order of a loop over i; they are grouped into one
-    stack of members and one stacked Haar-random observable per dimension.
+    The whole stream is one standard_normal draw. A Generator's normal stream
+    does not depend on how it is split into calls, so member i and basis i
+    hold the numbers a loop of ginibre(rng, dim, (2,)) calls would give them,
+    real part before imaginary part. The draw fills a block whose rows hold
+    seven draws each, one per dimension (the last row may be partial), so a
+    dimension's draws are a strided view of its columns.
     """
-    members, factors = {}, {}
+    widths = [4 * dim * dim for dim in range(2, 2 + min(count, 7))]
+    period = sum(widths)
+    block = np.empty((-(-count // 7), period))
+    rng.standard_normal(out=block.reshape(-1)[:count // 7 * period + sum(widths[:count % 7])])
+    start = 0
+    for j, width in enumerate(widths):
+        dim = 2 + j
+        parts = block[:len(range(j, count, 7)), start:start + width].reshape(-1, 2, 2, dim, dim)
+        start += width
+        members = parts[:, 0, 0] + 1.0j * parts[:, 0, 1]
+        observable = _observable(parts[:, 1, 0] + 1.0j * parts[:, 1, 1])
+        if j == len(widths) - 1:    # the largest dimension's checks run without the block
+            del block, parts
+        yield dim, members, observable
+
+
+def _probabilities_by_dimension(rng: np.random.Generator, count: int):
+    """As _draws_by_dimension, with member i a probability vector drawn before
+    basis i's Ginibre factor. The Dirichlet draws interleave with the normals
+    in the stream, so these stay a loop of draws, each stored in place."""
+    dims = range(2, 2 + min(count, 7))
+    members = {dim: np.empty((len(range(dim - 2, count, 7)), dim)) for dim in dims}
+    factors = {dim: np.empty((len(members[dim]), dim, dim), dtype=complex) for dim in dims}
     for i in range(count):
-        dim = 2 + (i % 7)
-        member, factor = draw(rng, dim)
-        if i < 7:   # the first draw in its dimension sizes that dimension's stack
-            size = len(range(i, count, 7))
-            members[dim] = np.empty((size, *member.shape), dtype=member.dtype)
-            factors[dim] = np.empty((size, dim, dim), dtype=complex)
-        members[dim][i // 7] = member
-        factors[dim][i // 7] = factor
+        dim = 2 + i % 7
+        members[dim][i // 7] = sampling.random_probabilities(rng, dim)
+        factors[dim][i // 7] = sampling.ginibre(rng, dim)
     # popping each dimension's factors frees them once its unitaries exist
-    return [(dim, members[dim], ReferenceObservable(sampling.haar_unitary(factors.pop(dim))))
-            for dim in members]
+    return [(dim, members[dim], _observable(factors.pop(dim))) for dim in dims]
 
 
 # sigma_y x sigma_y, written out
@@ -211,11 +236,11 @@ def check_klein_bound() -> CheckResult:
     violation = -np.inf
     for _, g, obs in _draws_by_dimension(np.random.default_rng(7), 1000):
         rho = sampling.full_rank_density(g)
-        for iw, q in zip(measures.wavelike_info(rho, obs, (1.0, 2.0)), (1.0, 2.0)):
-            ub = measures.wavelike_upper_bound(rho, obs, q)
-            violation = max(violation, float(np.max(-iw)), float(np.max(iw - ub)))
-            if q == 2.0:    # the slope is 2 rho - 1, so the bound is exactly 2 I_w
-                violation = max(violation, float(np.max(np.abs(ub - 2.0 * iw))))
+        iw = measures.wavelike_info(rho, obs, (1.0, 2.0))
+        ub = measures.wavelike_upper_bound(rho, obs, (1.0, 2.0))
+        violation = max(violation, float(np.max(-iw)), float(np.max(iw - ub)),
+                        # the slope is 2 rho - 1 at q = 2, so the bound is exactly 2 I_w
+                        float(np.max(np.abs(ub[1] - 2.0 * iw[1]))))
     residual = max(0.0, violation)
     return CheckResult("07_klein_bound_sandwich", violation < 1e-10,
                        residual, 1e-10,
@@ -226,12 +251,9 @@ def check_chsh_oracle() -> CheckResult:
     rng = np.random.default_rng(8)
     states = sampling.density(sampling.ginibre(rng, 4, (200,)))
     estimates = chsh_bruteforce(states, restarts=32, iterations=1000, seed=0)
-    residual = 0.0
-    overshoot = 0.0
-    for rho, estimate in zip(states, estimates.tolist()):
-        b_max, _ = chsh_nl(rho)
-        residual = max(residual, abs(b_max - estimate))
-        overshoot = max(overshoot, estimate - b_max)
+    b_max, _ = chsh_nl(states)
+    residual = float(np.max(np.abs(b_max - estimates)))
+    overshoot = max(0.0, float(np.max(estimates - b_max)))
     # the states are full rank, so every singular value's sign shows
     wootters = float(np.max(np.abs(concurrence(states) - _wootters_concurrence(states))))
     passed = residual < 1e-4 and overshoot < 1e-9 and wootters < 1e-10
@@ -255,8 +277,7 @@ def check_commutator_identity() -> CheckResult:
 
 def check_joint_entropy() -> CheckResult:
     residual = 0.0
-    for dim, p, obs in _draws_by_dimension(np.random.default_rng(10), 500,
-                                           _probabilities_pair):
+    for dim, p, obs in _probabilities_by_dimension(np.random.default_rng(10), 500):
         rho = sum(p[:, k, None, None] * obs.projector(k) for k in range(dim))
         for entropy, p_i in zip(measures.tsallis_entropy(rho, 1.0).tolist(), p):
             residual = max(residual, abs(entropy - measures.shannon(p_i)))

@@ -134,13 +134,14 @@ class TestTsallisEntropy:
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
 def test_bad_order_in_a_sequence_rejected_as_a_scalar_is(bad):
     rho, obs = np.eye(2) / 2, ReferenceObservable.computational(2)
-    with pytest.raises(ValueError) as scalar:
-        measures.duality(rho, obs, bad)
-    with pytest.raises(ValueError) as sequence:
-        measures.duality(rho, obs, [1.0, bad, 2.0])
-    assert type(sequence.value) is type(scalar.value)
-    assert str(sequence.value) == str(scalar.value)
-    assert "must be positive and finite" in str(scalar.value)
+    for measure in (measures.duality, measures.wavelike_upper_bound):
+        with pytest.raises(ValueError) as scalar:
+            measure(rho, obs, bad)
+        with pytest.raises(ValueError) as sequence:
+            measure(rho, obs, [1.0, bad, 2.0])
+        assert type(sequence.value) is type(scalar.value)
+        assert str(sequence.value) == str(scalar.value)
+        assert "must be positive and finite" in str(scalar.value)
 
 
 class TestMaxEntropy:

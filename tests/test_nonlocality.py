@@ -198,6 +198,24 @@ def test_bruteforce_checks_hermiticity_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_unit_rows_keep_the_bits_of_the_norm_and_fall_back_on_zero_rows():
+    rows = RNG.standard_normal((4, 5, 3))
+    expected = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    fallback = np.broadcast_to([0.0, 0.0, 1.0], rows.shape)
+    unit, norms = nonlocality._unit_rows(rows, fallback)
+    assert np.array_equal(unit, expected)
+    assert np.array_equal(norms, np.linalg.norm(rows, axis=-1, keepdims=True))
+    rows[1, 2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit, norms = nonlocality._unit_rows(rows, fallback)
+    assert np.array_equal(unit[1, 2], [0.0, 0.0, 1.0])
+    assert norms[1, 2, 0] == 0.0
+    kept = np.ones(rows.shape[:-1], dtype=bool)
+    kept[1, 2] = False
+    assert np.array_equal(unit[kept], expected[kept])
+
+
 def _canonical_settings():
     z = np.array([0.0, 0.0, 1.0])
     x = np.array([1.0, 0.0, 0.0])

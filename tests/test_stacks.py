@@ -218,6 +218,21 @@ def test_duality_over_orders_matches_per_order_calls(seed, dim, size):
             assert np.max(np.abs(values[[1, 3]] - values[2])) < 1e-5, key
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(0, 4))
+def test_bound_over_orders_matches_per_order_calls(seed, dim, size):
+    """As for duality: order i of one call gets the bits of a call at that
+    order alone, for one state (size 0) and a stack."""
+    rng = np.random.default_rng(seed)
+    states = [random_full_rank(rng, dim) for _ in range(max(size, 1))]
+    rho = np.array(states) if size else states[0]
+    obs = random_basis(rng, dim)
+    bounds = measures.wavelike_upper_bound(rho, obs, ORDERS)
+    assert bounds.shape == (len(ORDERS), *np.shape(rho)[:-2])
+    for i, q in enumerate(ORDERS):
+        assert_same_bits(bounds[i], measures.wavelike_upper_bound(rho, obs, q))
+
+
 def test_one_state_pairs_with_every_basis_of_a_stack():
     rng = np.random.default_rng(17)
     rho = random_full_rank(rng, 3)
@@ -266,6 +281,21 @@ def test_bound_names_member_that_is_not_full_rank():
             "state must be full rank for order q = 1.0: min eigenvalue 0.000e+00")):
         measures.wavelike_upper_bound(stack[1], obs, 1.0)
     assert measures.wavelike_upper_bound(stack, obs, 2.0).shape == (3,)
+    # in a sequence, the first order at or below 1 is named
+    with pytest.raises(ValueError, match=re.escape(
+            "state [1] must be full rank for order q = 1.0: min eigenvalue 0.000e+00")):
+        measures.wavelike_upper_bound(stack, obs, (2.0, 1.0, 0.5))
+    assert measures.wavelike_upper_bound(stack, obs, (2.0, 3.0)).shape == (2, 3)
+
+
+def test_bound_over_orders_solves_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    rho, obs = random_full_rank(rng, 3), random_basis(rng, 3)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    measures.wavelike_upper_bound(rho, obs, (0.5, 1.0, 2.0))
+    assert calls == [(3, 3)]
 
 
 @settings(max_examples=30, deadline=None)

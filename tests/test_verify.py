@@ -168,14 +168,15 @@ def loop_probabilities(rng, dim):
     return rng.dirichlet(np.ones(dim))
 
 
-@pytest.mark.parametrize("seed,draw,member_map,loop_member", [
-    (6, verify._ginibre_pair, sampling.density, loop_density),
-    (7, verify._ginibre_pair, sampling.full_rank_density, loop_full_rank_density),
-    (9, verify._ginibre_pair, sampling.hermitian, loop_hermitian),
-    (10, verify._probabilities_pair, lambda p: p, loop_probabilities),
+@pytest.mark.parametrize("count", [5, 40, 1000])   # under one period, partial last period
+@pytest.mark.parametrize("seed,draws_by_dimension,member_map,loop_member", [
+    (6, verify._draws_by_dimension, sampling.density, loop_density),
+    (7, verify._draws_by_dimension, sampling.full_rank_density, loop_full_rank_density),
+    (9, verify._draws_by_dimension, sampling.hermitian, loop_hermitian),
+    (10, verify._probabilities_by_dimension, lambda p: p, loop_probabilities),
 ], ids=["06", "07", "09", "10"])
-def test_draws_by_dimension_keep_the_loop_stream(seed, draw, member_map, loop_member):
-    count = 40
+def test_draws_by_dimension_keep_the_loop_stream(seed, draws_by_dimension, member_map,
+                                                 loop_member, count):
     rng = np.random.default_rng(seed)
     members, bases = {}, {}
     for i in range(count):
@@ -183,11 +184,25 @@ def test_draws_by_dimension_keep_the_loop_stream(seed, draw, member_map, loop_me
         members.setdefault(dim, []).append(loop_member(rng, dim))
         bases.setdefault(dim, []).append(loop_unitary(rng, dim))
 
-    draws = verify._draws_by_dimension(np.random.default_rng(seed), count, draw)
-    assert [dim for dim, _, _ in draws] == list(range(2, 9))
+    draws = list(draws_by_dimension(np.random.default_rng(seed), count))
+    assert [dim for dim, _, _ in draws] == sorted({2 + i % 7 for i in range(count)})
     for dim, stack, obs in draws:
         assert np.array_equal(member_map(stack), np.array(members[dim]))
         assert np.array_equal(obs.columns, np.array(bases[dim]))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_entropy_oracle_keeps_the_bits_of_a_sum_per_spectrum(dim):
+    # numpy's pairwise sum reorders eight terms, so d = 8 shows a reordered sum
+    rng = np.random.default_rng(dim)
+    pure = sampling.ginibre(rng, dim)[:, :1]
+    stack = np.concatenate([sampling.density(sampling.ginibre(rng, dim, (50,))),
+                            sampling.density(pure)[None], np.eye(dim)[None] / dim])
+    spectra = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
+    entropies = verify._entropies_q1_q2(stack)
+    assert np.array_equal(entropies[1.0], [
+        float(sum(-p * np.log(p) for p in lam if p > 1e-15)) for lam in spectra])
+    assert np.array_equal(entropies[2.0], [1.0 - np.sum(lam ** 2) for lam in spectra])
 
 
 def test_check_08_keeps_the_loop_stream(monkeypatch):

@@ -110,11 +110,10 @@ def cmd_sweep(args) -> int:
     # The first block runs before the file is opened and names the columns;
     # the others run while it is written, so only one block is held at a time.
     first = next(evaluated)
-    rows = ([io.format_float(v) for v in row]
-            for block, scalars in itertools.chain([first], evaluated)
-            # a scalar such as q repeats down the block
-            for row in zip(*np.broadcast_arrays(block, *scalars.values())))
-    io.write_csv(args.out, [args.param, *first[1]], rows)
+    tables = (np.column_stack(np.broadcast_arrays(block, *scalars.values()))
+              # a scalar such as q repeats down the block
+              for block, scalars in itertools.chain([first], evaluated))
+    io.write_csv(args.out, [args.param, *first[1]], tables)
     sys.stdout.write(f"wrote {grid.size} rows to {args.out}\n")
     return 0
 

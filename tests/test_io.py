@@ -341,31 +341,60 @@ class TestReportPayload:
 class TestCsv:
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "out.csv"
-        io.write_csv(str(path), ["a", "b"], [["1", "2"], ["3", "4"]])
+        io.write_csv(str(path), ["a", "b"], [np.array([[1.0, 2.0], [3.0, -0.5]])])
         raw = path.read_bytes()
         assert b"\r" not in raw
-        assert raw == b"a,b\n1,2\n3,4\n"
+        assert raw == (b"a,b\n1.0000000000000000e+00,2.0000000000000000e+00\n"
+                       b"3.0000000000000000e+00,-5.0000000000000000e-01\n")
 
     def test_rows_may_be_a_generator(self, tmp_path):
         path = tmp_path / "out.csv"
-        io.write_csv(str(path), ["a"], ([str(i)] for i in range(3)))
-        assert path.read_bytes() == b"a\n0\n1\n2\n"
+        io.write_csv(str(path), ["a"], (np.full((i, 1), i) for i in range(3)))
+        assert path.read_bytes() == (b"a\n1.0000000000000000e+00\n"
+                                     b"2.0000000000000000e+00\n2.0000000000000000e+00\n")
         assert list(tmp_path.iterdir()) == [path]
 
     def test_failing_rows_leave_existing_file_and_no_temporary(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_bytes(b"old\n")
 
-        def rows():
-            yield ["1"]
-            raise ValueError("bad row")
+        def tables():
+            yield np.ones((2, 1))
+            raise ValueError("bad table")
 
-        with pytest.raises(ValueError, match="bad row"):
-            io.write_csv(str(path), ["a"], rows())
+        with pytest.raises(ValueError, match="bad table"):
+            io.write_csv(str(path), ["a"], tables())
         assert path.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            io.write_csv(str(tmp_path / "no" / "out.csv"), ["a"], [["1"]])
+            io.write_csv(str(tmp_path / "no" / "out.csv"), ["a"], [np.ones((1, 1))])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tables_read_as_format_float_per_value(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e308]
+        columns = int(rng.integers(1, 15))
+        tables = []
+        for rows in rng.integers(0, 300, size=3):   # runs of 128 rows are written at once
+            # any bit pattern is a double, so every exponent and sign shows up
+            bits = rng.integers(0, 2 ** 64, size=(rows, columns), dtype=np.uint64)
+            table = bits.view(float)
+            mask = rng.random(table.shape) < 0.2
+            table[mask] = rng.choice(special, size=np.count_nonzero(mask))
+            tables.append(table)
+        path = tmp_path / "out.csv"
+        header = [f"c{j}" for j in range(columns)]
+        io.write_csv(str(path), header, tables)
+        expected = [",".join(header)] + [",".join(io.format_float(v) for v in row)
+                                         for table in tables for row in table]
+        assert path.read_text(encoding="utf-8").split("\n") == [*expected, ""]
+
+    def test_complex_table_refused_and_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(TypeError):
+            io.write_csv(str(path), ["a", "b"],
+                         [np.ones((2, 2)), np.array([[1.0, 0.5 + 1e-9j]])])
         assert list(tmp_path.iterdir()) == []

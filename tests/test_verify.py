@@ -134,6 +134,17 @@ def test_check_10_reads_the_last_member(monkeypatch):
     assert result.residual == pytest.approx(1e-8, rel=1e-3)
 
 
+def test_check_10_catches_a_scaled_entropy_kernel(monkeypatch):
+    # the oracle sums -p ln p itself: had it called measures.shannon, which
+    # shares this kernel with tsallis_entropy, both sides would scale alike
+    spectral_entropy = measures._spectral_entropy
+    monkeypatch.setattr(measures, "_spectral_entropy",
+                        lambda lam, q: 1.001 * spectral_entropy(lam, q))
+    result = verify.check_joint_entropy()
+    assert not result.passed
+    assert result.residual > 1e-3
+
+
 # The draw stream of checks 06-10, pinned to a loop of single draws with the
 # formulas the stacked maps replace: two `standard_normal` calls per Ginibre
 # factor and one QR per basis. A reordered or regrouped draw fails here.

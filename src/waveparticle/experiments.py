@@ -121,8 +121,8 @@ class ExperimentReport:
     states: dict[str, ReportState]
 
 
-def _dual_measures(rho: np.ndarray, obs: ReferenceObservable) -> dict[str, float]:
-    split = measures.duality(rho, obs, (1.0, 2.0))
+def _dual_measures(split: dict) -> dict[str, float]:
+    """The q = 1 and q = 2 wave/particle scalars of a duality(..., (1.0, 2.0)) split."""
     return {f"{key}_q{i + 1}": _unstack(split[key][i])
             for i in (0, 1) for key in ("wavelike", "particlelike")}
 
@@ -147,7 +147,7 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
     scalars = {
         "p_detector_0": _unstack(populations[..., 0]),
         "p_detector_1": _unstack(populations[..., 1]),
-        **_dual_measures(rho_pre, obs),
+        **_dual_measures(measures.duality(rho_pre, obs, (1.0, 2.0))),
         "wavelike_mid_q1": _unstack(wavelike_mid[0]),
         "wavelike_mid_q2": _unstack(wavelike_mid[1]),
     }
@@ -180,13 +180,13 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     split = BipartiteSplit(2, 2)
     rho_joint = projector(joint)
     rho_q = partial_trace(rho_joint, split, keep=0)
-    obs = path_basis(2)
+    dual_split = measures.duality(rho_q, path_basis(2), (1.0, 2.0))
     scalars = {
         "p_detector_0": _unstack(rho_q[..., 0, 0].real),
         "p_detector_1": _unstack(rho_q[..., 1, 1].real),
-        **_dual_measures(rho_q, obs),
+        **_dual_measures(dual_split),
         "entanglement_linear": linear_entanglement(joint, split),
-        "entanglement_entropy": measures.tsallis_entropy(rho_q, 1.0),
+        "entanglement_entropy": _unstack(dual_split["entropy"][0]),
     }
     states = {
         "joint": ReportState((2, 2), rho_joint),
@@ -236,7 +236,7 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
     obs = path_basis(2)
     scalars = {}
     states: dict[str, ReportState] = {"input": ReportState((2,), rho_q)}
-    duals = _dual_measures(rho_q, obs)
+    duals = _dual_measures(measures.duality(rho_q, obs, (1.0, 2.0)))
     residuals = []
     for k in (0, 1):
         conditional, p = measure_select_joint(evolved, split, obs, k)
@@ -296,7 +296,7 @@ def measurement_model(amplitudes, perspective: str,
     scalars = {
         "wavelike_pre_q1": pre_wavelike,
         **extra,
-        **_dual_measures(rho_q, obs),
+        **_dual_measures(measures.duality(rho_q, obs, (1.0, 2.0))),
         "wavelike_pointer_q1": _unstack(wavelike_pointer[0]),
         "wavelike_pointer_q2": _unstack(wavelike_pointer[1]),
     }
@@ -322,7 +322,6 @@ def morphing_scan(amplitudes, eta) -> ExperimentReport:
     gram = np.ones((*eta.shape, 2, 2), dtype=complex)
     gram[..., 0, 1] = gram[..., 1, 0] = eta
     rho_q = reduced_from_informer(InformerModel(c, gram))
-    obs = path_basis(2)
-    scalars = _dual_measures(rho_q, obs)
+    scalars = _dual_measures(measures.duality(rho_q, path_basis(2), (1.0, 2.0)))
     states = {"quanton": ReportState((2,), rho_q)}
     return ExperimentReport("morphing", scalars, states)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import ReferenceObservable
 from .experiments import ExperimentReport
-from .states import validate_density, validate_pure
+from .states import projector, validate_density, validate_pure
 
 
 class StateFormatError(ValueError):
@@ -195,8 +195,7 @@ def parse_state(text: str, source: str = "state") -> LoadedState:
             amps = validate_pure(amps)
         except ValueError as exc:
             raise StateFormatError("amplitudes", str(exc)) from None
-        rho = np.outer(amps, amps.conj())
-        return LoadedState(dims, rho, amps)
+        return LoadedState(dims, projector(amps), amps)
     if "matrix" in payload:
         m = decode_matrix(payload["matrix"], "matrix")
         dims = _read_dims(payload, m.shape[0])

@@ -38,10 +38,6 @@ class CheckResult:
     detail: str
 
 
-def _entropy_terms(probabilities) -> float:
-    return float(sum(-p * np.log(p) for p in probabilities if p > 1e-15))
-
-
 def _shannon_rows(p: np.ndarray) -> np.ndarray:
     """-sum p ln p over p > 1e-15 for each row of p (n, d).
 
@@ -74,52 +70,14 @@ def _dephased(rho: np.ndarray, obs: ReferenceObservable) -> np.ndarray:
     return total
 
 
-def _observable(factors: np.ndarray) -> ReferenceObservable:
-    """The stacked Haar-random observable of a stack of Ginibre factors."""
-    return ReferenceObservable(sampling.haar_unitary(factors))
-
-
 def _draws_by_dimension(rng: np.random.Generator, count: int):
-    """Member i's Ginibre factor and then basis i's, in dimension 2 + i % 7,
-    for i < count, yielded as one stack of members and one stacked
-    Haar-random observable per dimension, in ascending dimension.
-
-    The whole stream is one standard_normal draw. A Generator's normal stream
-    does not depend on how it is split into calls, so member i and basis i
-    hold the numbers a loop of ginibre(rng, dim, (2,)) calls would give them,
-    real part before imaginary part. The draw fills a block whose rows hold
-    seven draws each, one per dimension (the last row may be partial), so a
-    dimension's draws are a strided view of its columns.
-    """
-    widths = [4 * dim * dim for dim in range(2, 2 + min(count, 7))]
-    period = sum(widths)
-    block = np.empty((-(-count // 7), period))
-    rng.standard_normal(out=block.reshape(-1)[:count // 7 * period + sum(widths[:count % 7])])
-    start = 0
-    for j, width in enumerate(widths):
-        dim = 2 + j
-        parts = block[:len(range(j, count, 7)), start:start + width].reshape(-1, 2, 2, dim, dim)
-        start += width
-        members = parts[:, 0, 0] + 1.0j * parts[:, 0, 1]
-        observable = _observable(parts[:, 1, 0] + 1.0j * parts[:, 1, 1])
-        if j == len(widths) - 1:    # the largest dimension's checks run without the block
-            del block, parts
-        yield dim, members, observable
-
-
-def _probabilities_by_dimension(rng: np.random.Generator, count: int):
-    """As _draws_by_dimension, with member i a probability vector drawn before
-    basis i's Ginibre factor. The Dirichlet draws interleave with the normals
-    in the stream, so these stay a loop of draws, each stored in place."""
-    dims = range(2, 2 + min(count, 7))
-    members = {dim: np.empty((len(range(dim - 2, count, 7)), dim)) for dim in dims}
-    factors = {dim: np.empty((len(members[dim]), dim, dim), dtype=complex) for dim in dims}
-    for i in range(count):
-        dim = 2 + i % 7
-        members[dim][i // 7] = sampling.random_probabilities(rng, dim)
-        factors[dim][i // 7] = sampling.ginibre(rng, dim)
-    # popping each dimension's factors frees them once its unitaries exist
-    return [(dim, members[dim], _observable(factors.pop(dim))) for dim in dims]
+    """Draw i of count has dimension 2 + i % 7. In ascending dimension d,
+    yield d, a stack of the len(range(d - 2, count, 7)) Ginibre members of
+    that dimension, and the stacked Haar-random observable of as many more
+    factors; both stacks come from one ginibre(rng, d, (2, n)) call."""
+    for dim in range(2, 2 + min(count, 7)):
+        members, factors = sampling.ginibre(rng, dim, (2, len(range(dim - 2, count, 7))))
+        yield dim, members, ReferenceObservable(sampling.haar_unitary(factors))
 
 
 # sigma_y x sigma_y, written out
@@ -139,6 +97,15 @@ def _qubit_pair(a: float) -> np.ndarray:
     return np.array([a, np.sqrt(max(0.0, 1.0 - a * a))], dtype=complex)
 
 
+def _wave_detector_grid():
+    """The 10x10 grid in (x, |alpha|) of checks 03 and 04: per |alpha|, the
+    mixing weights, |alpha beta| and the scalars of wave_detector_run."""
+    xs = np.linspace(0.0, 1.0, 10)
+    for a in np.linspace(0.0, 1.0, 10):
+        amps = _qubit_pair(a)
+        yield xs, abs(amps[0] * amps[1]), wave_detector_run(WernerInput(xs, amps)).scalars
+
+
 def check_balanced_state_wavelike() -> CheckResult:
     obs = path_basis(2)
     residual = 0.0
@@ -152,22 +119,16 @@ def check_balanced_state_wavelike() -> CheckResult:
 def check_recombined_state_entropy() -> CheckResult:
     phis = np.linspace(0.0, 2.0 * np.pi, 24)
     report = mzi_run(MziConfig(phi=phis, bs2="present"))
-    residual = 0.0
-    for phi, wavelike in zip(phis, report.scalars["wavelike_q1"]):
-        x = np.cos(phi / 2.0) ** 2
-        expected = _entropy_terms([x, 1.0 - x])
-        residual = max(residual, abs(float(wavelike) - expected))
+    x = np.cos(phis / 2.0) ** 2
+    expected = _shannon_rows(np.column_stack([x, 1.0 - x]))
+    residual = float(np.max(np.abs(report.scalars["wavelike_q1"] - expected)))
     return CheckResult("02_recombined_state_binary_entropy", residual < 1e-12,
                        residual, 1e-12, "24 phases, output splitter present")
 
 
 def check_wave_detector_entanglement() -> CheckResult:
-    xs = np.linspace(0.0, 1.0, 10)
     residual = 0.0
-    for a in np.linspace(0.0, 1.0, 10):
-        amps = _qubit_pair(a)
-        ab = abs(amps[0] * amps[1])
-        scalars = wave_detector_run(WernerInput(xs, amps)).scalars
+    for xs, ab, scalars in _wave_detector_grid():
         for k in (0, 1):
             residual = max(
                 residual,
@@ -181,12 +142,8 @@ def check_wave_detector_entanglement() -> CheckResult:
 
 
 def check_werner_activation() -> CheckResult:
-    xs = np.linspace(0.0, 1.0, 10)
     residual = 0.0
-    for a in np.linspace(0.0, 1.0, 10):
-        amps = _qubit_pair(a)
-        ab = abs(amps[0] * amps[1])
-        scalars = wave_detector_run(WernerInput(xs, amps)).scalars
+    for xs, ab, scalars in _wave_detector_grid():
         iw2 = scalars["wavelike_q2"]
         residual = max(residual, float(np.max(np.abs(iw2 - 2.0 * xs * xs * ab * ab))))
         for k in (0, 1):
@@ -281,7 +238,10 @@ def check_commutator_identity() -> CheckResult:
 
 def check_joint_entropy() -> CheckResult:
     residual = 0.0
-    for dim, p, obs in _probabilities_by_dimension(np.random.default_rng(10), 500):
+    for dim, g, obs in _draws_by_dimension(np.random.default_rng(10), 500):
+        # normalized |first column|^2 of a Ginibre matrix is uniform on the simplex
+        p = np.abs(g[..., 0]) ** 2
+        p /= np.sum(p, axis=-1, keepdims=True)
         rho = sum(p[:, k, None, None] * obs.projector(k) for k in range(dim))
         residual = max(residual, float(np.max(np.abs(
             measures.tsallis_entropy(rho, 1.0) - _shannon_rows(p)))))
@@ -309,7 +269,7 @@ def check_measurement_perspectives() -> CheckResult:
     residual = 0.0
     for c in cases:
         probabilities = np.abs(c) ** 2
-        expected = _entropy_terms(probabilities)
+        expected = _shannon_rows(probabilities[None])[0]
         obs = path_basis(c.size)
         iw_pre = measures.wavelike_info(projector(c), obs, 1.0)
         residual = max(residual, abs(iw_pre - expected))

@@ -19,6 +19,7 @@ from waveparticle.experiments import (
     recombined_state,
     wave_detector_run,
 )
+from waveparticle.measures import tsallis_entropy
 from waveparticle.states import (
     BipartiteSplit,
     ValidationError,
@@ -184,6 +185,16 @@ class TestDelayedChoice:
             for name, state in single.states.items():
                 assert report.states[name].dims == state.dims
                 assert report.states[name].matrix[i].tobytes() == state.matrix.tobytes()
+
+    def test_grid_call_solves_the_quanton_stack_once(self, monkeypatch):
+        # the entanglement entropy is the q = 1 entropy of the wave/particle split
+        eigvalsh, shapes = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: shapes.append(np.shape(m)) or eigvalsh(m))
+        report = dce_analyze(np.linspace(0.1, 1.4, 5)[:, None], np.linspace(0.0, 6.0, 25))
+        assert shapes == [(5, 25, 2, 2)]
+        np.testing.assert_array_equal(report.scalars["entanglement_entropy"],
+                                      tsallis_entropy(report.states["quanton"].matrix, 1.0))
 
     def test_grid_checks_name_first_offending_value(self):
         with pytest.raises(ValidationError, match=re.escape("phase phi = inf is not finite")):

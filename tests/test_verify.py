@@ -145,61 +145,35 @@ def test_check_10_catches_a_scaled_entropy_kernel(monkeypatch):
     assert result.residual > 1e-3
 
 
-# The draw stream of checks 06-10, pinned to a loop of single draws with the
-# formulas the stacked maps replace: two `standard_normal` calls per Ginibre
-# factor and one QR per basis. A reordered or regrouped draw fails here.
-
-def two_call_ginibre(rng, dim):
-    return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
-
-
-def loop_unitary(rng, dim):
-    q, r = np.linalg.qr(two_call_ginibre(rng, dim))
-    diag = np.diagonal(r).copy()
-    diag /= np.abs(diag)
-    return q * diag
-
-
 def loop_density(rng, dim):
-    g = two_call_ginibre(rng, dim)
+    # two standard_normal calls per Ginibre factor, as a loop of single draws made them
+    g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
-def loop_full_rank_density(rng, dim):
-    return 0.95 * loop_density(rng, dim) + 0.05 * np.eye(dim, dtype=complex) / dim
-
-
-def loop_hermitian(rng, dim):
-    g = two_call_ginibre(rng, dim)
-    return (g + g.conj().T) / 2.0
-
-
-def loop_probabilities(rng, dim):
-    return rng.dirichlet(np.ones(dim))
-
-
 @pytest.mark.parametrize("count", [5, 40, 1000])   # under one period, partial last period
-@pytest.mark.parametrize("seed,draws_by_dimension,member_map,loop_member", [
-    (6, verify._draws_by_dimension, sampling.density, loop_density),
-    (7, verify._draws_by_dimension, sampling.full_rank_density, loop_full_rank_density),
-    (9, verify._draws_by_dimension, sampling.hermitian, loop_hermitian),
-    (10, verify._probabilities_by_dimension, lambda p: p, loop_probabilities),
-], ids=["06", "07", "09", "10"])
-def test_draws_by_dimension_keep_the_loop_stream(seed, draws_by_dimension, member_map,
-                                                 loop_member, count):
-    rng = np.random.default_rng(seed)
-    members, bases = {}, {}
-    for i in range(count):
-        dim = 2 + i % 7
-        members.setdefault(dim, []).append(loop_member(rng, dim))
-        bases.setdefault(dim, []).append(loop_unitary(rng, dim))
-
-    draws = list(draws_by_dimension(np.random.default_rng(seed), count))
+def test_draws_by_dimension_are_one_stack_per_dimension(count):
+    # members at index 0 and basis factors at index 1 of one draw per dimension,
+    # in ascending dimension: a regrouped or reordered draw fails here
+    rng = np.random.default_rng(6)
+    draws = list(verify._draws_by_dimension(np.random.default_rng(6), count))
     assert [dim for dim, _, _ in draws] == sorted({2 + i % 7 for i in range(count)})
-    for dim, stack, obs in draws:
-        assert np.array_equal(member_map(stack), np.array(members[dim]))
-        assert np.array_equal(obs.columns, np.array(bases[dim]))
+    for dim, members, obs in draws:
+        expected = sampling.ginibre(rng, dim, (2, len(range(dim - 2, count, 7))))
+        assert np.array_equal(members, expected[0])
+        assert np.array_equal(obs.columns, sampling.haar_unitary(expected[1]))
+
+
+def test_check_10_distributions_lie_on_the_simplex(monkeypatch):
+    rows = []
+    shannon_rows = verify._shannon_rows
+    monkeypatch.setattr(verify, "_shannon_rows", lambda p: rows.append(p) or shannon_rows(p))
+    assert verify.check_joint_entropy().passed
+    assert [p.shape for p in rows] == [(len(range(d - 2, 500, 7)), d) for d in range(2, 9)]
+    for p in rows:
+        assert np.all(p >= 0.0)
+        assert np.max(np.abs(np.sum(p, axis=-1) - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

@@ -135,6 +135,14 @@ class TestMeasures:
         assert (code, out) == (2, "")
         assert err == f"error: field 'matrix': {message}\n"
 
+    def test_two_qubit_matrix_negative_within_tolerance_repaired(self, capsys, tmp_path):
+        # eigenvalues -5e-10 and 1 + 5e-10: the accepted side of the -1e-9 bound
+        m = np.diag([-5e-10, 1.0 + 5e-10, 0.0, 0.0]).astype(complex)
+        path = write_state(tmp_path, "repaired22.json", dims=[2, 2], matrix=io.encode_matrix(m))
+        code, out, err = run_cli(capsys, "measures", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["entropy"] == 0.0
+
     def test_dim4_without_split_has_no_extras(self, capsys, tmp_path):
         s = 0.5
         flat = write_state(tmp_path, "flat.json", dims=[4],

@@ -168,6 +168,16 @@ class TestStateFiles:
         np.testing.assert_allclose(loaded.amplitudes, psi, atol=0)
         np.testing.assert_allclose(loaded.density, projector(psi), atol=1e-15)
 
+    @pytest.mark.parametrize("dim", [2, 9, 128])
+    def test_amplitude_density_is_the_outer_product_bit_for_bit(self, tmp_path, dim):
+        # measures outputs of an amplitude file depend on these bits
+        psi = RNG.standard_normal(dim) + 1j * RNG.standard_normal(dim)
+        path = tmp_path / "state.json"
+        io.save_state(str(path), (dim,), amplitudes=psi / np.linalg.norm(psi))
+        loaded = io.load_state(str(path))
+        assert loaded.density.tobytes() == np.outer(loaded.amplitudes,
+                                                    loaded.amplitudes.conj()).tobytes()
+
     def test_density_roundtrip(self, tmp_path):
         path = tmp_path / "state.json"
         rho = np.eye(4, dtype=complex) / 4

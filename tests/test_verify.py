@@ -176,6 +176,34 @@ def test_check_10_distributions_lie_on_the_simplex(monkeypatch):
         assert np.max(np.abs(np.sum(p, axis=-1) - 1.0)) <= 1e-15
 
 
+def simplex_rows(g):
+    p = np.abs(g[..., 0]) ** 2
+    return p / np.sum(p, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("check,module,name,seed,count,member_map", [
+    (verify.check_complementarity, measures, "duality", 6, 1000, sampling.density),
+    (verify.check_klein_bound, measures, "wavelike_upper_bound", 7, 1000,
+     sampling.full_rank_density),
+    (verify.check_commutator_identity, verify, "dephase", 9, 500, sampling.hermitian),
+    (verify.check_joint_entropy, verify, "_shannon_rows", 10, 500, simplex_rows),
+], ids=["06", "07", "09", "10"])
+def test_check_reads_the_stacks_of_its_own_seed(monkeypatch, check, module, name, seed,
+                                                count, member_map):
+    # each dimension's whole stack, mapped, with its basis: a check that drew from
+    # another seed or count, or mapped its members otherwise, fails here
+    original, seen = getattr(module, name), []
+    monkeypatch.setattr(module, name,
+                        lambda *args: seen.append(args[:2]) or original(*args))
+    assert check().passed
+    draws = list(verify._draws_by_dimension(np.random.default_rng(seed), count))
+    assert len(seen) == len(draws)
+    for args, (_, members, obs) in zip(seen, draws):
+        assert np.array_equal(args[0], member_map(members))
+        if len(args) > 1:
+            assert np.array_equal(args[1].columns, obs.columns)
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_entropy_oracle_keeps_the_bits_of_a_sum_per_spectrum(dim):
     # numpy's pairwise sum reorders eight terms, so d = 8 shows a reordered sum

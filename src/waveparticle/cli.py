@@ -22,7 +22,7 @@ from .experiments import (
     mzi_run,
     wave_detector_run,
 )
-from .nonlocality import _chsh_nl, _concurrence, _correlations
+from .nonlocality import _two_qubit_measures
 from .states import _certified_spectrum
 from .verify import run_checks
 
@@ -76,10 +76,8 @@ def cmd_measures(args) -> int:
         "complementarity_residual": residual,
     }
     if two_qubit:
-        b_max, n_l = _chsh_nl(rho, _correlations(rho))
-        payload["chsh_max"] = b_max
-        payload["nonlocality"] = n_l
-        payload["concurrence"] = _concurrence(lam, vectors)
+        payload["chsh_max"], payload["nonlocality"], payload["concurrence"] = (
+            _two_qubit_measures(rho, lam, vectors))
     sys.stdout.write(io.dumps(payload))
     return 0
 

@@ -16,10 +16,11 @@ from .channels import (
     measure_select_joint,
     reduced_from_informer,
 )
-from .nonlocality import chsh_nl, concurrence, linear_entanglement
+from .nonlocality import _two_qubit_measures, linear_entanglement
 from .states import (
     BipartiteSplit,
     ValidationError,
+    _certified_spectrum,
     _reject_first,
     _unstack,
     basis_state,
@@ -240,11 +241,12 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
     residuals = []
     for k in (0, 1):
         conditional, p = measure_select_joint(evolved, split, obs, k)
-        b_max, n_l = chsh_nl(conditional)
+        b_max, n_l, c = _two_qubit_measures(*_certified_spectrum(
+            conditional, name="two-qubit state", vectors=True))
         scalars[f"p_click_{k}"] = p
         scalars[f"chsh_max_click_{k}"] = b_max
         scalars[f"nonlocality_click_{k}"] = n_l
-        scalars[f"concurrence_click_{k}"] = concurrence(conditional)
+        scalars[f"concurrence_click_{k}"] = c
         states[f"conditional_click_{k}"] = ReportState((2, 2), conditional)
         residuals.append(np.abs(n_l - 2.0 * duals["wavelike_q2"]))
     scalars.update(duals)

@@ -163,6 +163,8 @@ def _parse_json(text: str, source: str):
         raise StateFormatError("json", f"{source}: {exc}") from None
     except ValueError:   # int() refuses a literal beyond sys.get_int_max_str_digits()
         raise StateFormatError("json", f"{source}: integer literal has too many digits") from None
+    except RecursionError:
+        raise StateFormatError("json", f"{source}: arrays or objects nested too deeply") from None
 
 
 def _read_dims(payload, total: int) -> tuple[int, ...]:

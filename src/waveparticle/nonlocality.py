@@ -10,7 +10,6 @@ from .states import (
     _certified_spectrum,
     _check_unit_norm,
     _clamp,
-    _reject_first,
     _unstack,
     hermitian_part,
     hs_norm_sq,
@@ -54,48 +53,33 @@ def _correlations(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,ijba->...ij", rho, _PAULI_PRODUCTS).real
 
 
-def _chsh_spectrum(rho, t: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of T^T T, for two-qubit matrices rho that passed
-    the Hermiticity check and their correlation tensors t.
-
-    A state whose trace is not 1, or whose T^T T has an eigenvalue above 1,
-    is not a density matrix, and its CHSH value could pass Tsirelson's
-    2 sqrt(2); both are rejected beyond DEFAULT_TOL, and the first failing
-    member of a stack is named by its index.
-    """
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
-    _reject_first(abs(trace - 1.0) > DEFAULT_TOL, lambda index, at: (
-        f"two-qubit state{at} has trace {float(trace[index])!r}, "
-        f"deviating from 1 beyond {DEFAULT_TOL:.1e}"))
-    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
-    _reject_first(u[..., -1] > 1.0 + DEFAULT_TOL, lambda index, at: (
-        f"two-qubit state{at} is not a density matrix: T^T T has eigenvalue "
-        f"{float(u[index][-1])!r} above 1 (tolerance {DEFAULT_TOL:.1e})"))
-    return u
-
-
 def chsh_nl(rho):
     """Largest CHSH value over measurement settings, and the violation degree.
 
     The maximum is 2 sqrt(u1 + u2) with u1 >= u2 the two largest eigenvalues
     of T^T T (Horodecki criterion); the violation degree is
     max(0, b_max^2 / 4 - 1). Two floats for one state, two arrays for a
-    stack (..., 4, 4), from one batched eigvalsh. A trace other than 1 or an
-    eigenvalue of T^T T above 1 is rejected.
+    stack (..., 4, 4). The spectrum must be that of a density matrix, so
+    every value stays within Tsirelson's bound 2 sqrt(2) up to rounding; the
+    first member of a stack that fails is named.
     """
-    t = correlation_matrix(rho)
-    # rho passed the Hermiticity check, and its diagonal's real part is that
-    # of its Hermitian part
-    return _chsh_nl(rho, t)
+    h, _, _ = _certified_spectrum(_two_qubit(rho), name="two-qubit state")
+    return _chsh_nl(_correlations(h))
 
 
-def _chsh_nl(rho, t: np.ndarray):
-    """chsh_nl of two-qubit matrices rho that passed the Hermiticity check,
-    given their correlation tensors t."""
-    u = _chsh_spectrum(rho, t)
+def _chsh_nl(t: np.ndarray):
+    """chsh_nl of certified states, given their correlation tensors t."""
+    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
     b_max = 2.0 * np.sqrt(_clamp(u[..., -1] + u[..., -2]))
     n_l = _clamp(b_max * b_max / 4.0 - 1.0)
     return _unstack(b_max), _unstack(n_l)
+
+
+def _two_qubit_measures(rho: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """chsh_max, nonlocality and concurrence of certified two-qubit states:
+    Hermitian parts rho, their spectra w and eigenvectors v of any phases."""
+    b_max, n_l = _chsh_nl(_correlations(rho))
+    return b_max, n_l, _unstack(_concurrence(w, v))
 
 
 class ChshSettings:
@@ -192,9 +176,8 @@ def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200, seed: int = 
         raise ValueError("restarts must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    rho = _check_two_qubit(rho)
+    rho, _, _ = _certified_spectrum(_two_qubit(rho), name="two-qubit state")
     t = _correlations(rho)
-    _chsh_spectrum(rho, t)
     shape = rho.shape[:-2]
     # A contiguous tensor keeps every member on the same matmul path, whichever
     # states are left in the working set; a strided view would not.

@@ -42,7 +42,3 @@ def hermitian(g: np.ndarray) -> np.ndarray:
     """Random Hermitian matrices (g + g^H) / 2 with O(1) entries."""
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
-
-def random_probabilities(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random point on the probability simplex."""
-    return rng.dirichlet(np.ones(dim))

@@ -211,20 +211,13 @@ def _check_unit_norm(psi: np.ndarray) -> np.ndarray:
 def validate_density(rho) -> np.ndarray:
     """Certify a density matrix, repairing violations that stay within DEFAULT_TOL.
 
-    Hermiticity, unit trace and positivity are checked first; eigenvalues
+    The spectrum of the Hermitian part is certified first; eigenvalues
     are then clipped to [0, 1] and the trace renormalized, which removes
     floating point dust without masking real violations. A stack (..., d, d)
     is certified member by member; the first failing one is named by its index.
     """
-    rho = hermitian_part(rho, name="density matrix")
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    _reject_first(np.abs(trace - 1.0) > DEFAULT_TOL, lambda index, at: (
-        f"trace{at} = {complex(trace[index]):.12g} deviates from 1 beyond {DEFAULT_TOL:.1e}"))
     # V diag(w) V^H does not depend on the eigenvector phases, so none are fixed
-    w, v = np.linalg.eigh(rho)
-    smallest = w[..., 0]
-    _reject_first(smallest < -DEFAULT_TOL, lambda index, at: (
-        f"negative eigenvalue{at} {float(smallest[index]):.3e} beyond -{DEFAULT_TOL:.1e}"))
+    _, w, v = _certified_spectrum(rho, name="density matrix", vectors=True)
     w = np.clip(w, 0.0, 1.0)
     fixed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]

@@ -119,8 +119,10 @@ class TestMeasures:
     @pytest.mark.parametrize("defect,message", [
         ("non-Hermitian", "density matrix is not Hermitian: max |M - M^H| = 1.000e-03 "
                           "exceeds 1.0e-09"),
-        ("trace", "trace = 1.01+0j deviates from 1 beyond 1.0e-09"),
-        ("negative", "negative eigenvalue -1.000e-06 beyond -1.0e-09"),
+        ("trace", "state is not a density matrix: eigenvalues sum to 1.0100000000000002, "
+                  "smallest 1.010e-01 (tolerance 1.0e-09)"),
+        ("negative", "state is not a density matrix: eigenvalues sum to 0.9999999999999999, "
+                     "smallest -1.000e-06 (tolerance 1.0e-09)"),
     ])
     def test_defective_two_qubit_matrix_rejected(self, capsys, tmp_path, defect, message):
         u, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))
@@ -226,6 +228,21 @@ class TestMeasures:
         code, out, err = run_cli(capsys, "measures", str(bad))
         assert (code, out) == (2, "")
         assert err == f"error: field 'json': {bad}: integer literal has too many digits\n"
+
+    @pytest.mark.parametrize("depth", [995, 1500])
+    def test_deeply_nested_state_rejected(self, capsys, tmp_path, depth):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"dims": [2], "matrix": %s%s}' % ("[" * depth, "]" * depth))
+        code, out, err = run_cli(capsys, "measures", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'json': {bad}: arrays or objects nested too deeply\n"
+
+    def test_deeply_nested_basis_rejected(self, capsys, tmp_path, balanced_state):
+        bad = tmp_path / "deep_basis.json"
+        bad.write_text('{"dim": 2, "basis": %s%s}' % ("[" * 1500, "]" * 1500))
+        code, out, err = run_cli(capsys, "measures", balanced_state, "--basis", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'json': {bad}: arrays or objects nested too deeply\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "measures", "/no/such/file.json")

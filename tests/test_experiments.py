@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveparticle import nonlocality, states
 from waveparticle.channels import ImpossibleOutcomeError
 from waveparticle.experiments import (
     BEAM_SPLITTER,
@@ -24,6 +25,7 @@ from waveparticle.states import (
     BipartiteSplit,
     ValidationError,
     basis_state,
+    hermitian_part,
     partial_trace,
     projector,
     tensor,
@@ -284,6 +286,24 @@ class TestWaveDetector:
         amps = np.array([0.6, 0.8], dtype=complex)
         s = wave_detector_run(WernerInput(0.9, amps)).scalars
         assert s["nonlocality_activation_residual"] < 1e-10
+
+    def test_each_state_checked_for_hermiticity_once(self, monkeypatch):
+        # the input's split, then one certified spectrum per click feeds both
+        # the CHSH value and the concurrence
+        werner = WernerInput(np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8], dtype=complex))
+        expected = wave_detector_run(werner).scalars
+        calls = []
+
+        def counting(m, **kwargs):
+            calls.append(kwargs.get("name"))
+            return hermitian_part(m, **kwargs)
+
+        for module in (states, nonlocality):
+            monkeypatch.setattr(module, "hermitian_part", counting)
+        scalars = wave_detector_run(werner).scalars
+        assert calls == ["state", "two-qubit state", "two-qubit state"]
+        for key, value in expected.items():
+            assert np.array_equal(scalars[key], value), key
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -1,9 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from waveparticle import nonlocality
+from waveparticle import nonlocality, states
 from waveparticle.nonlocality import (
     PAULIS,
     SIGMA_Y,
@@ -193,7 +194,8 @@ def test_bruteforce_checks_hermiticity_once(monkeypatch):
         calls.append(kwargs)
         return hermitian_part(m, **kwargs)
 
-    monkeypatch.setattr(nonlocality, "hermitian_part", counting)
+    for module in (states, nonlocality):
+        monkeypatch.setattr(module, "hermitian_part", counting)
     assert chsh_bruteforce(rho) == expected
     assert len(calls) == 1
 
@@ -250,27 +252,42 @@ def non_density_two_qubit_states():
     return twice_bell, unit_trace
 
 
+def density_message(at, total, smallest):
+    return re.escape(f"state{at} is not a density matrix: eigenvalues sum to ") + total + (
+        re.escape(f", smallest {smallest} (tolerance 1.0e-09)") + "$")
+
+
 @pytest.mark.parametrize("measure", [chsh_nl, chsh_bruteforce], ids=["chsh_nl", "chsh_bruteforce"])
 def test_chsh_rejects_non_density_input(measure):
     twice_bell, unit_trace = non_density_two_qubit_states()
-    with pytest.raises(ValidationError, match=(
-            r"^two-qubit state has trace (2\.0|1\.9999)\d*, deviating from 1")):
+    # eigenvalues 0, 0, 0 and 2, the last one from the eigensolver's rounding
+    twice_bell_sum = r"(2\.0|1\.9999\d*)"
+    with pytest.raises(ValidationError, match=density_message("", twice_bell_sum, "0.000e+00")):
         measure(twice_bell)
-    with pytest.raises(ValidationError, match=(
-            r"^two-qubit state is not a density matrix: T\^T T has eigenvalue 2\.25")):
+    with pytest.raises(ValidationError, match=density_message("", r"1\.0", "-5.000e-01")):
         measure(unit_trace)
     stack = np.array([projector(bell_phi_plus())] * 3)
     stack[1] = unit_trace
-    with pytest.raises(ValidationError, match=r"^two-qubit state \[1\] is not a density matrix"):
+    with pytest.raises(ValidationError, match=density_message(" [1]", r"1\.0", "-5.000e-01")):
         measure(stack)
     stack[1] = twice_bell
-    with pytest.raises(ValidationError, match=r"^two-qubit state \[1\] has trace"):
+    with pytest.raises(ValidationError, match=density_message(" [1]", twice_bell_sum,
+                                                              "0.000e+00")):
         measure(stack)
+
+
+@pytest.mark.parametrize("measure", [chsh_nl, chsh_bruteforce], ids=["chsh_nl", "chsh_bruteforce"])
+def test_chsh_rejects_a_negative_eigenvalue_at_unit_trace(measure):
+    # T = 0, so neither the trace nor T^T T shows that this is not a state
+    rho = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
+    assert not np.any(correlation_matrix(rho))
+    with pytest.raises(ValidationError, match=density_message("", r"1\.0", "-1.000e-01")):
+        measure(rho)
 
 
 def test_chsh_values_stay_within_tsirelson_bound():
-    # pure states reach the T^T T eigenvalue 1 and a trace of 1 only up to
-    # rounding, which the check tolerates
+    # pure states reach the eigenvalue 0 and a trace of 1 only up to
+    # rounding, which the density check tolerates
     rng = np.random.default_rng(950)
     states = np.array([random_two_qubit(rng, 1) for _ in range(20)]
                       + [projector(bell_phi_plus())])

@@ -63,7 +63,3 @@ def test_the_maps_make_what_they_name(case):
     h = sampling.hermitian(stack)
     assert np.array_equal(h, h.conj().swapaxes(-1, -2))
 
-
-def test_random_probabilities_lie_on_the_simplex():
-    p = sampling.random_probabilities(np.random.default_rng(0), 5)
-    assert p.shape == (5,) and np.all(p >= 0.0) and abs(p.sum() - 1.0) < 1e-12

@@ -373,7 +373,9 @@ def test_two_axis_stack_names_member_by_both_indices():
             function(bad)
     bad = stack.copy()
     bad[1, 2, 0, 0] = 0.75
-    with pytest.raises(ValidationError, match=re.escape("trace [1, 2] = 1.5+0j deviates")):
+    with pytest.raises(ValidationError, match=re.escape(
+            "state [1, 2] is not a density matrix: eigenvalues sum to 1.5, "
+            "smallest 2.500e-01 (tolerance 1.0e-09)")):
         validate_density(bad)
     bad = stack.copy()
     bad[1, 2] = np.diag([1.0, 0.0, 0.0, 0.0])
@@ -383,11 +385,15 @@ def test_two_axis_stack_names_member_by_both_indices():
 
 
 def test_density_stack_names_bad_trace_and_negative_eigenvalue():
-    with pytest.raises(ValidationError, match=re.escape("trace [1] = 1.5+0j deviates")):
+    with pytest.raises(ValidationError, match=re.escape(
+            "state [1] is not a density matrix: eigenvalues sum to 1.5, "
+            "smallest 2.500e-01 (tolerance 1.0e-09)")):
         validate_density(with_member((0, 0), 0.75))
     stack = with_member((0, 0), -0.25, member=2)
     stack[2, 1, 1] = 0.75
-    with pytest.raises(ValidationError, match=re.escape("negative eigenvalue [2] -2.500e-01")):
+    with pytest.raises(ValidationError, match=re.escape(
+            "state [2] is not a density matrix: eigenvalues sum to 1.0, "
+            "smallest -2.500e-01 (tolerance 1.0e-09)")):
         validate_density(stack)
 
 

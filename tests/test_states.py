@@ -169,7 +169,9 @@ def test_validate_density_rejects_negative_eigenvalue():
 
 
 def test_validate_density_rejects_wrong_trace():
-    with pytest.raises(ValidationError, match="trace"):
+    with pytest.raises(ValidationError, match=re.escape(
+            "state is not a density matrix: eigenvalues sum to 2.0, "
+            "smallest 1.000e+00 (tolerance 1.0e-09)")):
         validate_density(np.eye(2, dtype=complex))
 
 

@@ -22,6 +22,27 @@ def shift(amount):
     return lambda value: value + amount
 
 
+@pytest.mark.parametrize("key,check,residual", [
+    ("concurrence_click_1", verify.check_wave_detector_entanglement, 1e-8),
+    ("nonlocality_click_0", verify.check_wave_detector_entanglement, 1e-8),
+    ("nonlocality_click_0", verify.check_werner_activation, 1e-8),
+    # read twice by check 04: against its closed form and as half of n_l
+    ("wavelike_q2", verify.check_werner_activation, 2e-8),
+], ids=["03-concurrence", "03-nonlocality", "04-nonlocality", "04-wavelike"])
+def test_checks_03_04_read_the_last_grid_point(monkeypatch, key, check, residual):
+    wave_detector_run = verify.wave_detector_run
+
+    def mutated(werner):
+        report = wave_detector_run(werner)
+        report.scalars[key] = with_last(report.scalars[key], shift(1e-8))
+        return report
+
+    monkeypatch.setattr(verify, "wave_detector_run", mutated)
+    result = check()
+    assert not result.passed
+    assert result.residual == pytest.approx(residual, rel=1e-3)
+
+
 @pytest.mark.parametrize("key", ["particlelike_q2", "entanglement_linear"])
 def test_check_05_reads_the_last_grid_point(monkeypatch, key):
     dce_analyze = verify.dce_analyze
@@ -111,6 +132,17 @@ def test_check_08_catches_a_sign_error_in_the_concurrence(monkeypatch):
     assert result.residual < result.tolerance   # the CHSH comparison still holds
 
 
+def test_check_08_catches_a_transposed_correlation_tensor(monkeypatch):
+    # chsh_nl reads only the singular values of T, which T^T shares; the
+    # oracle scores its settings as a Bell operator expectation of rho itself
+    correlations = nonlocality._correlations
+    monkeypatch.setattr(nonlocality, "_correlations",
+                        lambda rho: correlations(rho).swapaxes(-1, -2))
+    result = verify.check_chsh_oracle()
+    assert not result.passed
+    assert result.residual > 1.0
+
+
 def test_check_09_reads_the_last_member(monkeypatch):
     dephase = verify.dephase
 
@@ -143,6 +175,20 @@ def test_check_10_catches_a_scaled_entropy_kernel(monkeypatch):
     result = verify.check_joint_entropy()
     assert not result.passed
     assert result.residual > 1e-3
+
+
+def test_check_14_reads_the_last_grid_point(monkeypatch):
+    morphing_scan = verify.morphing_scan
+
+    def mutated(amplitudes, eta):
+        report = morphing_scan(amplitudes, eta)
+        report.scalars["wavelike_q2"] = with_last(report.scalars["wavelike_q2"], shift(1e-8))
+        return report
+
+    monkeypatch.setattr(verify, "morphing_scan", mutated)
+    result = verify.check_morphing_limit()
+    assert not result.passed
+    assert result.residual == pytest.approx(1e-8, rel=1e-3)
 
 
 def loop_density(rng, dim):

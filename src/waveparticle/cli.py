@@ -40,7 +40,8 @@ def _amplitudes(args) -> np.ndarray:
     filled = [0.0 if p is None else float(p) for p in parts]
     amps = np.array([complex(filled[0], filled[1]),
                      complex(filled[2], filled[3])], dtype=complex)
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore"):   # a huge part gives inf, refused below
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm_sq - 1.0) <= _AMP_NORM_TOL:
         raise ValueError(f"amplitudes are not normalized: |a|^2+|b|^2 = {norm_sq!r}")
     return amps / np.sqrt(norm_sq)

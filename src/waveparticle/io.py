@@ -2,9 +2,11 @@
 
 Complex entries are stored as [re, im] pairs and matrices as row-major
 arrays of rows. Floats are always rendered with 17 significant digits in
-scientific notation, by the one template FLOAT_FORMAT, so identical inputs
-give byte-identical output. A CSV file is written one float table at a time,
-each table formatted by a single row template.
+scientific notation, as the one template FLOAT_FORMAT writes them, so
+identical inputs give byte-identical output. A CSV file is written one float
+table at a time, each formatted by a vectorized kernel that gives
+FLOAT_FORMAT's exact bytes and hands the values outside its range (tiny,
+huge, subnormal or not finite) to FLOAT_FORMAT itself.
 """
 
 from __future__ import annotations
@@ -178,6 +180,20 @@ def _read_dims(payload, total: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _check_modulus(values: np.ndarray, field: str) -> None:
+    """Refuse a finite entry of modulus above 2 before any arithmetic on it.
+
+    No entry of a density matrix or of a unit vector exceeds 1 in modulus,
+    and a huge one would overflow in the checks that follow. NaN and inf are
+    left to those checks, which name them.
+    """
+    with np.errstate(over="ignore"):   # the modulus of huge parts is inf
+        big = np.isfinite(values) & (np.abs(values) > 2.0)
+    if big.any():
+        raise StateFormatError(field, f"entry {np.argwhere(big)[0].tolist()} has modulus "
+                                      "above 2; no entry of a state exceeds 1")
+
+
 class LoadedState(NamedTuple):
     dims: tuple[int, ...]
     density: np.ndarray
@@ -193,6 +209,7 @@ def parse_state(text: str, source: str = "state") -> LoadedState:
     if "amplitudes" in payload:
         amps = decode_vector(payload["amplitudes"], "amplitudes")
         dims = _read_dims(payload, amps.size)
+        _check_modulus(amps, "amplitudes")
         try:
             amps = validate_pure(amps)
         except ValueError as exc:
@@ -201,6 +218,7 @@ def parse_state(text: str, source: str = "state") -> LoadedState:
     if "matrix" in payload:
         m = decode_matrix(payload["matrix"], "matrix")
         dims = _read_dims(payload, m.shape[0])
+        _check_modulus(m, "matrix")
         try:
             rho = validate_density(m)
         except ValueError as exc:
@@ -274,20 +292,104 @@ def report_payload(report: ExperimentReport) -> dict:
     }
 
 
-# Rows formatted per write. A whole 1024-row sweep block at once would hold
-# about 0.7 MB of Python floats and text, more than the peak of writing row by row.
+# Rows formatted per write. The formatting kernel holds about 190 bytes of
+# arrays per value, so a whole 1024-row block of 14 columns would take 2.7 MB.
 _CSV_ROWS_PER_WRITE = 128
+
+# The kernel below writes FLOAT_FORMAT's exact bytes for finite |x| in
+# (1e-6, 1e17) and for +-0. With k = floor(log10|x|) and p = 16 - k in
+# [0, 22], 10**p is an exact double (5**22 < 2**53), so Dekker's two-product
+# of |x| and 10**p, built from halves of at most 26 significant bits, gives
+# |x| * 10**p = hi + lo exactly in binary64. That product lies in
+# [1e16, 1e17), so hi >= 2**53 is an even integer, and hi + rint(lo) rounds
+# half to even exactly as '%' rounds the 17th digit. Any other value is
+# formatted by FLOAT_FORMAT itself.
+_POW10 = np.array([10 ** p for p in range(23)], dtype=float)
+# the widest field, -1.7976931348623157e+308, and its separator; the NULs
+# padding a field are stripped from the text
+_CELL = 25
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split v = high + low, each of at most 26 significant bits."""
+    t = v * 134217729.0   # 2**27 + 1
+    high = t - (t - v)
+    return high, v - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+# the 4-byte text "0000" ... "9999" of each group of four digits, as one uint32
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                    axis=-1).view(np.uint32).ravel()
+# "e-06" ... "e+16", indexed by the decimal exponent plus 6
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-6, 17)),
+                           dtype=np.uint8).reshape(-1, 4)
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**p as hi + lo, exactly: Dekker's two-product."""
+    hi = a * _POW10[p]
+    a_high, a_low = _split(a)
+    c_high, c_low = _POW10_HIGH[p], _POW10_LOW[p]
+    return hi, ((a_high * c_high - hi) + a_high * c_low + a_low * c_high) + a_low * c_low
+
+
+def _format_rows(table: np.ndarray) -> bytes:
+    """The CSV lines of a 2-d float array, each field as FLOAT_FORMAT writes it."""
+    rows, columns = table.shape
+    x = table.ravel()
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)
+    zero = a == 0
+    a[~fast] = 1.0
+    p = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    hi, lo = _scaled(a, p)
+    # next to a power of ten the guess of k can be one off; the exact product
+    # then lies below 1e16 or at or above 1e17, and one step of p mends it
+    wrong = ((hi < 1e16) | (hi > 1e17) | ((hi == 1e16) & (lo < 0))
+             | ((hi == 1e17) & (lo >= 0)))
+    if wrong.any():
+        p[wrong] += np.where(hi[wrong] > 1e16, -1, 1)
+        hi[wrong], lo[wrong] = _scaled(a[wrong], p[wrong])
+    # the 17 digits never round up to 10**17 here: that needs a double within
+    # 5e-18 (relative) below a power of ten, and none in this range is so close
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    digits[zero] = 0
+    exponent = 16 - p
+    quads = np.empty((x.size, 4), dtype=np.int64)   # the 16 digits after the point
+    lead = digits
+    for j in (3, 2, 1, 0):   # division by a scalar, which numpy does fast
+        higher = lead // 10 ** 4
+        quads[:, j] = lead - higher * 10 ** 4
+        lead = higher
+    cells = np.zeros((x.size, _CELL), dtype=np.uint8)
+    cells[:, 0] = np.signbit(x) * ord("-")
+    cells[:, 1] = lead + ord("0")
+    cells[:, 2] = ord(".")
+    cells[:, 3:19] = _DIGITS4.take(quads).view(np.uint8).reshape(-1, 16)
+    cells[:, 19:23] = _EXPONENTS[exponent + 6]
+    other = np.flatnonzero(~(fast | zero))
+    if other.size:
+        text = b"".join((FLOAT_FORMAT % v).encode().ljust(_CELL - 1, b"\0")
+                        for v in x[other].tolist())
+        cells[other, :-1] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _CELL - 1)
+    separators = np.full(columns, ord(","), dtype=np.uint8)
+    separators[-1:] = ord("\n")
+    cells.reshape(rows, columns, _CELL)[..., -1] = separators
+    return cells.tobytes().translate(None, b"\0")
 
 
 def write_csv(path: str, header: list[str], tables) -> None:
     """Write a CSV file from a header and an iterable of float tables.
 
     Each table is a 2-d real array (rows x columns) with one column per
-    header field. A table is formatted with one row template, FLOAT_FORMAT
-    per field, and written in runs of up to 128 rows; its fields read as
-    format_float would write them. No header field or formatted float holds
-    a comma, a quote or a line break, so nothing is quoted. A complex table
-    is refused with TypeError, as format_float refuses a complex number.
+    header field; an integer table is written as its float values. A table
+    is formatted in runs of up to 128 rows by one vectorized kernel, whose
+    fields are byte for byte those of format_float: exact digits for finite
+    |x| in (1e-6, 1e17) and +-0, FLOAT_FORMAT itself for every other value.
+    No header field or formatted float holds a comma, a quote or a line
+    break, so nothing is quoted. A complex table is refused with TypeError,
+    as format_float refuses a complex number.
 
     The tables go to a temporary file next to path, which replaces path only
     once every table is written. If writing or producing a table fails, the
@@ -295,15 +397,14 @@ def write_csv(path: str, header: list[str], tables) -> None:
     """
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(temporary, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
             for table in tables:
                 if np.iscomplexobj(table):
                     raise TypeError("CSV tables must be real, got a complex table")
-                row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+                table = np.asarray(table, dtype=float)
                 for start in range(0, len(table), _CSV_ROWS_PER_WRITE):
-                    chunk = table[start:start + _CSV_ROWS_PER_WRITE].tolist()
-                    fh.write("".join([row % tuple(values) for values in chunk]))
+                    fh.write(_format_rows(table[start:start + _CSV_ROWS_PER_WRITE]))
         os.replace(temporary, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -20,13 +20,17 @@ from .states import (
 
 FULL_RANK_TOL = 1e-12
 _LOG_FLOOR = 1e-15
+# Beyond this order (q - 1) ln(lam) turns the rounding error of an eigenvalue
+# near 1 into an error of order one, and near 1e308 the product overflows.
+_MAX_ORDER = 1e15
 BOLTZMANN_SI = 1.380649e-23
 
 
 def _check_q(q: float) -> float:
     q = float(q)
-    if not 0 < q < np.inf:
-        raise ValueError(f"entropy order must be positive and finite, got {q}")
+    if not 0 < q <= _MAX_ORDER:
+        raise ValueError(
+            f"entropy order must be positive and finite, at most {_MAX_ORDER:.0e}, got {q}")
     return q
 
 

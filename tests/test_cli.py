@@ -208,6 +208,31 @@ class TestMeasures:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"dims": [2], "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+         "field 'matrix': entry [0, 0] has modulus above 2; no entry of a state exceeds 1"),
+        ('{"dims": [2], "matrix": [[[0.5, 0], [-1e308, 0]], [[1e308, 0], [0.5, 0]]]}',
+         "field 'matrix': entry [0, 1] has modulus above 2; no entry of a state exceeds 1"),
+        ('{"dims": [2], "amplitudes": [[-1e308, 0], [0, 0]]}',
+         "field 'amplitudes': entry [0] has modulus above 2; no entry of a state exceeds 1"),
+    ], ids=["diagonal-1e308", "off-diagonal-1e308", "amplitude-minus-1e308"])
+    def test_huge_state_entry_rejected_without_overflow(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "huge.json"
+        bad.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "measures", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_order_above_the_bound_rejected(self, capsys, balanced_state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "measures", balanced_state, "--q", "1e308")
+        assert (code, out) == (2, "")
+        assert err == ("error: entropy order must be positive and finite, at most 1e+15,"
+                       " got 1e+308\n")
+
     def test_dims_overflowing_int64_rejected(self, capsys, tmp_path):
         bad = write_state(tmp_path, "wrap.json", dims=[3, 6148914691236517206],
                           amplitudes=[[1.0, 0.0], [0.0, 0.0]])
@@ -291,6 +316,14 @@ class TestExperiment:
             code, out, err = run_cli(capsys, "experiment", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    def test_huge_amplitude_flag_rejected_without_overflow(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "experiment", "wave-detector",
+                                     "--amp-alpha-re", "1e200")
+        assert (code, out) == (2, "")
+        assert err == "error: amplitudes are not normalized: |a|^2+|b|^2 = inf\n"
 
     def test_morphing_orthogonal_informers(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "morphing", "--eta", "0")
@@ -412,6 +445,18 @@ class TestSweep:
                                  "--out", str(out_path))
         assert (code, out) == (2, "")
         assert err == "error: bs2_alpha = 2.0 outside [0, pi/2]\n"
+        assert not out_path.exists()
+
+    def test_order_above_the_bound_rejected_and_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "dce.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "dce", "--param", "phi", "--start", "0",
+                                     "--stop", "1", "--steps", "3", "--bs2-alpha", "0.6",
+                                     "--q", "1e308", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == ("error: entropy order must be positive and finite, at most 1e+15,"
+                       " got 1e+308\n")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,6 +402,57 @@ class TestCsv:
         expected = [",".join(header)] + [",".join(io.format_float(v) for v in row)
                                          for table in tables for row in table]
         assert path.read_text(encoding="utf-8").split("\n") == [*expected, ""]
+
+    @staticmethod
+    def assert_reads_as_format_float(tmp_path, table):
+        path = tmp_path / "out.csv"
+        header = [f"c{j}" for j in range(table.shape[1])]
+        io.write_csv(str(path), header, [table])
+        expected = [",".join(header)] + [",".join(io.format_float(v) for v in row)
+                                         for row in table]
+        assert path.read_text(encoding="utf-8").split("\n") == [*expected, ""]
+
+    def test_log_uniform_doubles_over_every_decimal_exponent(self, tmp_path):
+        # exponents -8 to 18: the exact kernel covers (1e-6, 1e17), the rest fall back
+        rng = np.random.default_rng(21)
+        signs = rng.choice([-1.0, 1.0], size=(5000, 8))
+        self.assert_reads_as_format_float(tmp_path, signs * 10.0 ** rng.uniform(-8, 18, (5000, 8)))
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        # next to a power of ten the first guess of the decimal exponent can be one off;
+        # the double just below each power also shows that the kernel's 17 digits
+        # never round up to the next power, which it does not handle
+        powers = np.array([float(f"1e{j}") for j in range(-8, 19)])
+        table = np.column_stack([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+        self.assert_reads_as_format_float(tmp_path, np.concatenate([table, -table]))
+
+    @pytest.mark.parametrize("power", [-305, -243, -176, -79, -14, 98, 129, 153, 220])
+    def test_digits_carrying_into_the_next_power_of_ten(self, tmp_path, power):
+        value = float(f"1e{power}")
+        # the double lies below 10**power, yet its 17 digits round up to it
+        assert Fraction(value) < Fraction(10) ** power
+        assert io.format_float(value) == "1.0000000000000000e%+03d" % power
+        self.assert_reads_as_format_float(tmp_path, np.array([[value, -value]]))
+
+    def test_zeros_non_finite_and_subnormal_values(self, tmp_path):
+        table = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf],
+                          [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                           -1.7976931348623157e308]])
+        self.assert_reads_as_format_float(tmp_path, table)
+
+    def test_integer_table_is_written_as_its_floats(self, tmp_path):
+        table = np.array([[0, 1, -7, 2 ** 53 + 1], [10 ** 17, -(2 ** 63), 2 ** 63 - 1, 12345]])
+        self.assert_reads_as_format_float(tmp_path, table)
+
+    def test_empty_table_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "out.csv"
+        io.write_csv(str(path), ["a", "b"], [np.empty((0, 2))])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_rows_across_runs_of_128(self, tmp_path):
+        rng = np.random.default_rng(22)
+        table = rng.standard_normal((300, 5)) * 10.0 ** rng.integers(-9, 20, (300, 5))
+        self.assert_reads_as_format_float(tmp_path, table)
 
     def test_complex_table_refused_and_no_file(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -131,6 +131,16 @@ class TestTsallisEntropy:
             measures.tsallis_entropy(np.eye(2) / 2, q)
 
 
+def test_order_bound_is_inclusive():
+    # at the bound the entropy (1 - sum lam**q)/(q - 1) is still about 1/q
+    rho = np.diag([0.5, 0.3, 0.2])
+    assert measures.tsallis_entropy(rho, 1e15) == pytest.approx(1e-15, rel=1e-12)
+    with pytest.raises(ValueError, match=re.escape("at most 1e+15, got 1000000000000000.1")):
+        measures.tsallis_entropy(rho, np.nextafter(1e15, np.inf))
+    with pytest.raises(ValueError, match=re.escape("at most 1e+15, got 1e+308")):
+        measures.max_entropy(2, 1e308)
+
+
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
 def test_bad_order_in_a_sequence_rejected_as_a_scalar_is(bad):
     rho, obs = np.eye(2) / 2, ReferenceObservable.computational(2)

@@ -13,17 +13,18 @@ from .channels import (
     ImpossibleOutcomeError,
     InformerModel,
     ReferenceObservable,
-    measure_select_joint,
     reduced_from_informer,
 )
-from .nonlocality import _two_qubit_measures, linear_entanglement
+from .nonlocality import _two_qubit_measures
 from .states import (
     BipartiteSplit,
     ValidationError,
     _certified_spectrum,
+    _clamp,
     _reject_first,
     _unstack,
     basis_state,
+    hs_norm_sq,
     partial_trace,
     projector,
     tensor,
@@ -33,17 +34,18 @@ from .states import (
 BEAM_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
 _EYE2 = np.eye(2, dtype=complex)
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # dce_analyze: the output splitter acts when the control qubit is |1>.
 _CONTROLLED = (tensor(_EYE2, projector(basis_state(2, 0)))
                + tensor(BEAM_SPLITTER, projector(basis_state(2, 1))))
-# wave_detector_run: register |00><00|, path k flips register qubit k, then
-# the quanton crosses the beam splitter.
-_REGISTER = projector(tensor(basis_state(2, 0), basis_state(2, 0)))
-_COUPLE = (tensor(projector(basis_state(2, 0)), tensor(_FLIP, _EYE2))
-           + tensor(projector(basis_state(2, 1)), tensor(_EYE2, _FLIP)))
-_MIX = tensor(BEAM_SPLITTER, np.eye(4, dtype=complex))
-for _constant in (_EYE2, _FLIP, _CONTROLLED, _REGISTER, _COUPLE, _MIX):
+# wave_detector_run: the quanton on path j flips register qubit j of |00>
+# (COUPLE), then crosses the beam splitter; detector k clicking applies the
+# Kraus operator _CLICKS[k] = (<k| BS x 1) COUPLE (1 x |00>), which sends
+# path j to register |10> (j = 0) or |01> (j = 1) with amplitude BS[k, j].
+_CLICKS = np.zeros((2, 4, 2), dtype=complex)
+_CLICKS[:, 2, 0] = BEAM_SPLITTER[:, 0]
+_CLICKS[:, 1, 1] = BEAM_SPLITTER[:, 1]
+_CLICKS_H = np.ascontiguousarray(_CLICKS.conj().swapaxes(-1, -2))
+for _constant in (_EYE2, _CONTROLLED, _CLICKS, _CLICKS_H):
     _constant.setflags(write=False)
 
 
@@ -186,7 +188,7 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
         "p_detector_0": _unstack(rho_q[..., 0, 0].real),
         "p_detector_1": _unstack(rho_q[..., 1, 1].real),
         **_dual_measures(dual_split),
-        "entanglement_linear": linear_entanglement(joint, split),
+        "entanglement_linear": _unstack(_clamp(1.0 - hs_norm_sq(rho_q))),
         "entanglement_entropy": _unstack(dual_split["entropy"][0]),
     }
     states = {
@@ -226,31 +228,30 @@ def wave_detector_run(werner: WernerInput) -> ExperimentReport:
     beam splitter one detector clicks, leaving the register in a conditional
     state whose concurrence and CHSH violation quantify how wavelike the
     input was. The identity n_l = 2 * wavelike_q2(input) is reported as a
-    residual. An array of mixing weights runs the whole grid as one stack
-    through every step, giving arrays of scalars and stacks of states.
+    residual. Click k is the fixed 4x2 Kraus operator _CLICKS[k] from the
+    quanton to the register, so one product gives both clicks' states and
+    one certified spectral pass measures them. An array of mixing weights
+    runs the whole grid as one stack, giving arrays of scalars and stacks
+    of states.
     """
     rho_q = werner.density()
-    total = tensor(rho_q, _REGISTER)
-    evolved = _COUPLE @ total @ _COUPLE.conj().T
-    evolved = _MIX @ evolved @ _MIX.conj().T
-    split = BipartiteSplit(2, 4)
-    obs = path_basis(2)
-    scalars = {}
-    states: dict[str, ReportState] = {"input": ReportState((2,), rho_q)}
-    duals = _dual_measures(measures.duality(rho_q, obs, (1.0, 2.0)))
-    residuals = []
-    for k in (0, 1):
-        conditional, p = measure_select_joint(evolved, split, obs, k)
-        b_max, n_l, c = _two_qubit_measures(*_certified_spectrum(
-            conditional, name="two-qubit state", vectors=True))
-        scalars[f"p_click_{k}"] = p
-        scalars[f"chsh_max_click_{k}"] = b_max
-        scalars[f"nonlocality_click_{k}"] = n_l
-        scalars[f"concurrence_click_{k}"] = c
-        states[f"conditional_click_{k}"] = ReportState((2, 2), conditional)
-        residuals.append(np.abs(n_l - 2.0 * duals["wavelike_q2"]))
+    duals = _dual_measures(measures.duality(rho_q, path_basis(2), (1.0, 2.0)))
+    clicked = _CLICKS @ rho_q[..., None, :, :] @ _CLICKS_H   # (..., click, 4, 4)
+    # p_k = Tr rho_q / 2 for every valid input, so neither click is impossible
+    p = np.trace(clicked, axis1=-2, axis2=-1).real
+    conditional, w, v = _certified_spectrum(clicked / p[..., None, None],
+                                            name="two-qubit state", vectors=True)
+    b_max, n_l, c = _two_qubit_measures(conditional, w, v)
+    per_click = {"p": np.minimum(p, 1.0), "chsh_max": b_max, "nonlocality": n_l,
+                 "concurrence": c}
+    scalars = {f"{key}_click_{k}": _unstack(value[..., k])
+               for k in (0, 1) for key, value in per_click.items()}
     scalars.update(duals)
-    scalars["nonlocality_activation_residual"] = _unstack(np.maximum(*residuals))
+    residual = np.abs(n_l - 2.0 * np.asarray(duals["wavelike_q2"])[..., None])
+    scalars["nonlocality_activation_residual"] = _unstack(residual.max(axis=-1))
+    states = {"input": ReportState((2,), rho_q)}
+    for k in (0, 1):
+        states[f"conditional_click_{k}"] = ReportState((2, 2), conditional[..., k, :, :])
     return ExperimentReport("wave-detector", scalars, states)
 
 

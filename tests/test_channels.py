@@ -17,6 +17,7 @@ from waveparticle.channels import (
     purify,
     reduced_from_informer,
 )
+from waveparticle.measures import duality
 from waveparticle.states import (
     BipartiteSplit,
     ValidationError,
@@ -140,6 +141,37 @@ class TestPopulationsKernel:
         rho = random_density(dim)
         obs = ReferenceObservable.computational(dim)
         assert _populations(rho, obs).tobytes() == np.diagonal(rho).real.tobytes()
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("stack", [(), (3,), (2, 2)], ids=["single", "stack", "grid"])
+    def test_computational_shortcut_gives_the_general_bits(self, dim, stack):
+        rho = np.array([random_density(dim) for _ in range(int(np.prod(stack)))])
+        rho = rho.reshape(*stack, dim, dim)
+        fast = ReferenceObservable.computational(dim)
+        general = ReferenceObservable(np.eye(dim))
+        for function in (populations, dephase):
+            assert function(rho, fast).tobytes() == function(rho, general).tobytes()
+        for q in (1.0, 2.0, 0.5):
+            expected = duality(rho, general, q)
+            for key, value in duality(rho, fast, q).items():
+                assert np.asarray(value).tobytes() == np.asarray(expected[key]).tobytes(), key
+
+    def test_only_the_computational_constructor_reads_the_diagonal(self, monkeypatch):
+        # an identity given as columns, stacked or not, is an ordinary basis
+        rho = np.array([random_density(3) for _ in range(4)])
+        contractions = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            contractions.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        expected = populations(rho, ReferenceObservable.computational(3))
+        assert contractions == []
+        for columns in (np.eye(3), np.broadcast_to(np.eye(3), (4, 3, 3))):
+            assert populations(rho, ReferenceObservable(columns)).tobytes() == expected.tobytes()
+        assert len(contractions) == 2
 
     def test_large_basis_matches_the_rotated_diagonal(self):
         dim = 128

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveparticle import nonlocality, states
-from waveparticle.channels import ImpossibleOutcomeError
+from waveparticle.channels import ImpossibleOutcomeError, ReferenceObservable, measure_select_joint
 from waveparticle.experiments import (
     BEAM_SPLITTER,
     MziConfig,
@@ -20,7 +20,7 @@ from waveparticle.experiments import (
     recombined_state,
     wave_detector_run,
 )
-from waveparticle.measures import tsallis_entropy
+from waveparticle.measures import duality, tsallis_entropy
 from waveparticle.states import (
     BipartiteSplit,
     ValidationError,
@@ -32,10 +32,47 @@ from waveparticle.states import (
 )
 
 PHI_GRID = np.linspace(0.0, 2 * np.pi, 17)[:-1]
+FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+EYE2 = np.eye(2, dtype=complex)
 
 
 def ket01(i, j):
     return tensor(basis_state(2, i), basis_state(2, j))
+
+
+def assert_same_bits(actual, expected, label):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, label
+    assert actual.tobytes() == expected.tobytes(), label
+
+
+def reference_wave_detector(werner):
+    """wave_detector_run built as the 8x8 circuit: the register |00><00|
+    joined by np.kron, the path-controlled flips and the beam splitter as
+    sandwiches, and each click measured on its own."""
+    couple = (np.kron(projector(basis_state(2, 0)), np.kron(FLIP, EYE2))
+              + np.kron(projector(basis_state(2, 1)), np.kron(EYE2, FLIP)))
+    mix = np.kron(BEAM_SPLITTER, np.eye(4, dtype=complex))
+    rho_q = werner.density()
+    evolved = couple @ np.kron(rho_q, projector(ket01(0, 0))) @ couple.conj().T
+    evolved = mix @ evolved @ mix.conj().T
+    obs = ReferenceObservable(EYE2)
+    split = duality(rho_q, obs, (1.0, 2.0))
+    wavelike_q2 = split["wavelike"][1]
+    scalars, matrices, residuals = {}, {}, []
+    for k in (0, 1):
+        conditional, p = measure_select_joint(evolved, BipartiteSplit(2, 4), obs, k)
+        b_max, n_l, c = nonlocality._two_qubit_measures(*states._certified_spectrum(
+            conditional, name="two-qubit state", vectors=True))
+        scalars.update({f"p_click_{k}": p, f"chsh_max_click_{k}": b_max,
+                        f"nonlocality_click_{k}": n_l, f"concurrence_click_{k}": c})
+        matrices[f"conditional_click_{k}"] = conditional
+        residuals.append(np.abs(n_l - 2.0 * wavelike_q2))
+    for i in (0, 1):
+        for key in ("wavelike", "particlelike"):
+            scalars[f"{key}_q{i + 1}"] = split[key][i]
+    scalars["nonlocality_activation_residual"] = np.maximum(*residuals)
+    return scalars, matrices
 
 
 class TestConventions:
@@ -288,8 +325,8 @@ class TestWaveDetector:
         assert s["nonlocality_activation_residual"] < 1e-10
 
     def test_each_state_checked_for_hermiticity_once(self, monkeypatch):
-        # the input's split, then one certified spectrum per click feeds both
-        # the CHSH value and the concurrence
+        # the input's split, then one certified spectrum of both clicks feeds
+        # the CHSH values and the concurrences
         werner = WernerInput(np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8], dtype=complex))
         expected = wave_detector_run(werner).scalars
         calls = []
@@ -301,9 +338,38 @@ class TestWaveDetector:
         for module in (states, nonlocality):
             monkeypatch.setattr(module, "hermitian_part", counting)
         scalars = wave_detector_run(werner).scalars
-        assert calls == ["state", "two-qubit state", "two-qubit state"]
+        assert calls == ["state", "two-qubit state"]
         for key, value in expected.items():
             assert np.array_equal(scalars[key], value), key
+
+    @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 7), 0.3], ids=["grid", "float"])
+    def test_kraus_clicks_reproduce_the_register_circuit(self, x):
+        werner = WernerInput(x, np.array([0.36 + 0.48j, 0.8j]))
+        report = wave_detector_run(werner)
+        expected_scalars, expected_states = reference_wave_detector(werner)
+        assert list(report.scalars) == list(expected_scalars)
+        for key, value in expected_scalars.items():
+            assert_same_bits(report.scalars[key], value, key)
+        for key, matrix in expected_states.items():
+            assert_same_bits(report.states[key].matrix, matrix, key)
+
+    def test_one_spectral_pass_over_both_clicks(self, monkeypatch):
+        # eigvalsh: the input's split and the CHSH tensors of both clicks; eigh
+        # and svd: both clicks' spectra and concurrences; no Kronecker product
+        werner = WernerInput(np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8j]))
+        calls = []
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np, "kron", counting("kron", np.kron))
+        wave_detector_run(werner)
+        assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh", "svd"]
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

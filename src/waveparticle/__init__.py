@@ -6,6 +6,8 @@ concurrence for two qubits, and circuit-level models of interferometer
 scenarios where the duality shows up operationally.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channels import (
     ImpossibleOutcomeError,
     InformerModel,
@@ -74,61 +76,7 @@ from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BEAM_SPLITTER",
-    "BipartiteSplit",
-    "CheckResult",
-    "ChshSettings",
-    "ExperimentReport",
-    "ImpossibleOutcomeError",
-    "InformerModel",
-    "MziConfig",
-    "NATURAL_UNITS",
-    "ReferenceObservable",
-    "ReportState",
-    "ThermalContext",
-    "ValidationError",
-    "WernerInput",
-    "balanced_path_state",
-    "basis_state",
-    "chsh_bruteforce",
-    "chsh_nl",
-    "chsh_operator",
-    "chsh_value",
-    "concurrence",
-    "correlation_matrix",
-    "dce_analyze",
-    "demon_work_gap",
-    "dephase",
-    "duality",
-    "eig_hermitian",
-    "hermitian_part",
-    "hs_norm_sq",
-    "information",
-    "linear_entanglement",
-    "max_entropy",
-    "measure_select",
-    "measure_select_joint",
-    "measurement_model",
-    "morphing_scan",
-    "mzi_run",
-    "particlelike_info",
-    "partial_trace",
-    "path_basis",
-    "phase_shifter",
-    "populations",
-    "projector",
-    "purify",
-    "recombined_state",
-    "reduced_from_informer",
-    "run_checks",
-    "shannon",
-    "tensor",
-    "tsallis_entropy",
-    "validate_density",
-    "validate_pure",
-    "wave_detector_run",
-    "wavelike_info",
-    "wavelike_upper_bound",
-    "work",
-]
+# every public object imported above; the layer modules, bound here as
+# attributes of the package by those imports, are left out
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -7,6 +7,7 @@ import numpy as np
 from .states import (
     DEFAULT_TOL,
     ValidationError,
+    _certified_spectrum,
     _check_spectrum,
     _reject_first,
     _unstack,
@@ -123,7 +124,8 @@ def measure_select(rho, k_obs: ReferenceObservable, k: int):
     together with the outcome probability. A stack (..., d, d) shares that
     projector and gives an array of probabilities; the first member for
     which the outcome is impossible is named by its index. This is
-    measure_select_joint with a trivial unmeasured factor (split d x 1).
+    measure_select_joint with a trivial unmeasured factor (split d x 1), so
+    rho is certified as a density matrix the same way.
     """
     rho = _check_dims(rho, k_obs)
     _, p = measure_select_joint(rho, (k_obs.dim, 1), k_obs, k)
@@ -134,9 +136,12 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     """Measure the left factor of a bipartite state, keep the right one.
 
     Returns the conditional state of the unmeasured factor and the click
-    probability. A stack (..., dA dB, dA dB) gives a stack of conditional
-    states and an array of probabilities; the first member for which the
-    outcome is impossible is named by its index.
+    probability. After the shape and outcome checks rho is certified as a
+    density matrix, like every state a public function takes, and its
+    Hermitian part is contracted. A stack (..., dA dB, dA dB) gives a stack
+    of conditional states and an array of probabilities; the first member
+    that is not a density matrix, or for which the outcome is impossible,
+    is named by its index.
     """
     rho = np.asarray(rho, dtype=complex)
     dim_a, dim_b = int(split[0]), int(split[1])
@@ -151,6 +156,7 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
                               f"got a stack of shape {k_obs.columns.shape}")
     if not 0 <= k < dim_a:
         raise ValueError(f"outcome index {k} out of range for dimension {dim_a}")
+    rho, _, _ = _certified_spectrum(rho)
     vec = k_obs.columns[:, k]
     blocks = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     unnormalized = np.einsum("a,...aibj,b->...ij", vec.conj(), blocks, vec)

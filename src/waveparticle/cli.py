@@ -102,8 +102,14 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must be finite, got {bound!r}")
     if not args.start <= args.stop:
         raise ValueError(f"start {args.start!r} exceeds stop {args.stop!r}")
+    span = args.stop - args.start   # Python floats: an overflow gives inf and no warning
+    if not np.isfinite(span):
+        raise ValueError(f"--stop - --start must be finite, got {span!r}")
     field = args.param.replace("-", "_")
-    grid = np.linspace(args.start, args.stop, args.steps)
+    # a span near the largest double can round (steps - 1) * step past it; only
+    # the last point's product can overflow, and linspace then sets it to stop
+    with np.errstate(over="ignore"):
+        grid = np.linspace(args.start, args.stop, args.steps)
     blocks = (grid[i:i + SWEEP_BLOCK] for i in range(0, grid.size, SWEEP_BLOCK))
     evaluated = ((block, _run_swept(args, field, block)) for block in blocks)
     # The first block runs before the file is opened and names the columns;

@@ -9,10 +9,9 @@ import numpy as np
 
 from . import measures
 from .channels import (
-    IMPOSSIBLE_OUTCOME_TOL,
-    ImpossibleOutcomeError,
     InformerModel,
     ReferenceObservable,
+    measure_select,
     reduced_from_informer,
 )
 from .nonlocality import _two_qubit_measures
@@ -137,22 +136,23 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
     it reaches the detectors either directly (splitter absent) or after
     recombination. Detector probabilities are the path populations of the
     state in front of the detectors, and the wave/particle measures of that
-    state are evaluated in the path basis. An array of phases gives arrays
-    of scalars and stacks of states over the grid.
+    state, with the wavelike information of the state inside, are evaluated
+    in the path basis; one duality call certifies both states as a stack.
+    An array of phases gives arrays of scalars and stacks of states over
+    the grid.
     """
-    obs = path_basis(2)
     mid = phase_shifter(config.phi) @ (BEAM_SPLITTER @ basis_state(2, 0))
     pre_detector = (BEAM_SPLITTER @ mid[..., None])[..., 0] if config.bs2 == "present" else mid
     rho_mid = projector(mid)
     rho_pre = projector(pre_detector)
     populations = np.abs(pre_detector) ** 2
-    wavelike_mid = measures.wavelike_info(rho_mid, obs, (1.0, 2.0))
+    dual_split = measures.duality(np.stack([rho_pre, rho_mid]), path_basis(2), (1.0, 2.0))
     scalars = {
         "p_detector_0": _unstack(populations[..., 0]),
         "p_detector_1": _unstack(populations[..., 1]),
-        **_dual_measures(measures.duality(rho_pre, obs, (1.0, 2.0))),
-        "wavelike_mid_q1": _unstack(wavelike_mid[0]),
-        "wavelike_mid_q2": _unstack(wavelike_mid[1]),
+        **_dual_measures({key: value[:, 0] for key, value in dual_split.items()}),
+        "wavelike_mid_q1": _unstack(dual_split["wavelike"][0, 1]),
+        "wavelike_mid_q2": _unstack(dual_split["wavelike"][1, 1]),
     }
     states = {
         "mid": ReportState((2,), rho_mid),
@@ -261,10 +261,13 @@ def measurement_model(amplitudes, perspective: str,
 
     The quanton branch |k> drives an orthonormal pointer state |k>, giving
     the premeasurement state sum_k c_k |k>|k>. The 'alice' perspective reads
-    the pointer and conditions on one outcome; the 'bob' perspective keeps
-    the unread joint state and looks at the marginals. Either way the
-    post-interaction quanton and pointer are particlelike in their own bases,
-    while the input quanton carried wavelike information H(|c_k|^2).
+    the pointer and conditions on one outcome: measure_select on the
+    pointer's marginal diag(|c_k|^2), whose conditional state is then both
+    the pointer's and the quanton's. The 'bob' perspective keeps the unread
+    joint state and looks at the marginals. Either way the post-interaction
+    quanton and pointer are particlelike in their own bases, while the input
+    quanton carried wavelike information H(|c_k|^2); one duality call
+    certifies both reported states as a stack.
     """
     c = validate_pure(amplitudes)
     branches = c.size
@@ -277,31 +280,22 @@ def measurement_model(amplitudes, perspective: str,
     if perspective == "alice":
         if outcome is None:
             raise ValidationError("the alice perspective needs an outcome index")
-        if not 0 <= outcome < branches:
-            raise ValueError(f"outcome index {outcome} out of range")
-        p = float(probabilities[outcome])
-        if p < IMPOSSIBLE_OUTCOME_TOL:
-            raise ImpossibleOutcomeError(f"outcome {outcome} has probability {p:.3e}")
-        rho_q = projector(basis_state(branches, outcome))
-        rho_pointer = projector(basis_state(branches, outcome))
-        extra["p_outcome"] = p
+        rho_q, extra["p_outcome"] = measure_select(np.diag(probabilities), obs, outcome)
+        rho_pointer = rho_q
     elif perspective == "bob":
-        joint = np.zeros(branches * branches, dtype=complex)
-        for k in range(branches):
-            joint[k * branches + k] = c[k]
         split = BipartiteSplit(branches, branches)
-        rho_joint = projector(joint)
+        rho_joint = projector(np.diag(c).reshape(-1))
         rho_q = partial_trace(rho_joint, split, keep=0)
         rho_pointer = partial_trace(rho_joint, split, keep=1)
     else:
         raise ValidationError(f"unknown perspective {perspective!r}")
-    wavelike_pointer = measures.wavelike_info(rho_pointer, obs, (1.0, 2.0))
+    dual_split = measures.duality(np.stack([rho_q, rho_pointer]), obs, (1.0, 2.0))
     scalars = {
         "wavelike_pre_q1": pre_wavelike,
         **extra,
-        **_dual_measures(measures.duality(rho_q, obs, (1.0, 2.0))),
-        "wavelike_pointer_q1": _unstack(wavelike_pointer[0]),
-        "wavelike_pointer_q2": _unstack(wavelike_pointer[1]),
+        **_dual_measures({key: value[:, 0] for key, value in dual_split.items()}),
+        "wavelike_pointer_q1": _unstack(dual_split["wavelike"][0, 1]),
+        "wavelike_pointer_q2": _unstack(dual_split["wavelike"][1, 1]),
     }
     states = {
         "quanton": ReportState((branches,), rho_q),

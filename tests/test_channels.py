@@ -235,6 +235,37 @@ class TestMeasureSelect:
             measure_select(np.eye(3) / 3, obs, 0)
 
 
+# each defect, then the detail the 2x2 state gives
+NOT_DENSITY = [
+    (np.array([[0.5, 0.3], [0.0, 0.5]]), "state is not Hermitian",
+     ": max |M - M^H| = 3.000e-01 exceeds 1.0e-09"),
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), "state has non-finite entries",
+     " at [(0, 1), (1, 0)]"),
+    # the diagonal sums to 1, so an unchecked contraction reads p = 1.0 for outcome 0
+    (np.diag([2.0, -1.0]), "state is not a density matrix",
+     ": eigenvalues sum to 1.0, smallest -1.000e+00 (tolerance 1.0e-09)"),
+    (np.diag([0.51, 0.5]), "state is not a density matrix",
+     ": eigenvalues sum to 1.01, smallest 5.000e-01 (tolerance 1.0e-09)"),
+]
+
+
+@pytest.mark.parametrize("rho,defect,detail", NOT_DENSITY,
+                         ids=["non-Hermitian", "nan", "negative", "trace"])
+def test_selection_certifies_the_state(rho, defect, detail):
+    obs = ReferenceObservable.computational(2)
+    for select in (lambda: measure_select(rho, obs, 0),
+                   lambda: measure_select_joint(rho, BipartiteSplit(2, 1), obs, 0)):
+        with pytest.raises(ValidationError, match=re.escape(defect + detail)):
+            select()
+    with pytest.raises(ValidationError, match=re.escape(defect)):
+        measure_select_joint(np.kron(rho, np.eye(2) / 2), BipartiteSplit(2, 2), obs, 0)
+
+
+def test_selection_checks_the_outcome_before_the_state():
+    with pytest.raises(ValueError, match=re.escape("outcome index 2 out of range")):
+        measure_select(np.diag([2.0, -1.0]), ReferenceObservable.computational(2), 2)
+
+
 class TestMeasureSelectJoint:
     def test_bell_state_click(self):
         bell = (tensor(basis_state(2, 0), basis_state(2, 0))

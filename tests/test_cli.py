@@ -364,6 +364,14 @@ class TestExperiment:
         assert code == 2
         assert "probability" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--click", "5"), "outcome index 5 out of range for dimension 2"),
+        (("--click", "-1"), "outcome index -1 out of range for dimension 2"),
+    ], ids=["above", "negative"])
+    def test_click_out_of_range_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "experiment", "measurement-model", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_mzi_absent_splitter(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "mzi", "--phi", "1.0",
                                "--bs2", "absent")
@@ -471,6 +479,38 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("name,param", [("mzi", "phi"), ("wave-detector", "x")])
+    def test_overflowing_span_rejected(self, capsys, tmp_path, name, param):
+        # each bound is finite, their difference is not: linspace would warn and
+        # then name a NaN grid point the user never gave
+        out_path = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", name, "--param", param,
+                                     "--start=-1e308", "--stop", "1e308", "--steps", "3",
+                                     "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == "error: --stop - --start must be finite, got inf\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("start,stop,steps", [
+        (-1.7976931348623157e308, 0.0, 4), (0.0, 1.7976931348623157e308, 4),
+        (-1e308, 7e307, 3)])
+    def test_span_near_the_largest_double_sweeps(self, capsys, tmp_path, start, stop, steps):
+        # (steps - 1) * step may round past the largest double; that point is stop
+        out_path = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "sweep", "mzi", "--param", "phi",
+                                   f"--start={start!r}", f"--stop={stop!r}",
+                                   "--steps", str(steps), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        with out_path.open(newline="") as fh:
+            phis = [float(row["phi"]) for row in csv.DictReader(fh)]
+        with np.errstate(over="ignore"):
+            assert phis == np.linspace(start, stop, steps).tolist()
+        assert phis[-1] == stop
 
     def test_mzi_phi_sweep_detector_column(self, capsys, tmp_path):
         out_path = tmp_path / "mzi.csv"

@@ -46,6 +46,16 @@ def assert_same_bits(actual, expected, label):
     assert actual.tobytes() == expected.tobytes(), label
 
 
+def count_solves(monkeypatch):
+    """A list that records (solver, shape) for every eigh and eigvalsh call."""
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, solver=solver, name=name: (
+            solves.append((name, np.shape(m))) or solver(m)))
+    return solves
+
+
 def reference_wave_detector(werner):
     """wave_detector_run built as the 8x8 circuit: the register |00><00|
     joined by np.kron, the path-controlled flips and the beam splitter as
@@ -140,6 +150,24 @@ class TestMzi:
         report = mzi_run(MziConfig(phi=0.37, bs2="present"))
         total = report.scalars["p_detector_0"] + report.scalars["p_detector_1"]
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.37, PHI_GRID], ids=["one-phase", "grid"])
+    @pytest.mark.parametrize("bs2", ["present", "absent"])
+    def test_both_states_certified_in_one_solve(self, monkeypatch, phi, bs2):
+        solves = count_solves(monkeypatch)
+        mzi_run(MziConfig(phi=phi, bs2=bs2))
+        assert solves == [("eigvalsh", (2, *np.shape(phi), 2, 2))]
+
+    @pytest.mark.parametrize("bs2", ["present", "absent"])
+    def test_each_state_keeps_the_bits_it_gets_alone(self, bs2):
+        report = mzi_run(MziConfig(phi=PHI_GRID, bs2=bs2))
+        obs = ReferenceObservable.computational(2)
+        pre = duality(report.states["pre_detector"].matrix, obs, (1.0, 2.0))
+        mid = duality(report.states["mid"].matrix, obs, (1.0, 2.0))
+        for i in (0, 1):
+            for key in ("wavelike", "particlelike"):
+                assert_same_bits(report.scalars[f"{key}_q{i + 1}"], pre[key][i], key)
+            assert_same_bits(report.scalars[f"wavelike_mid_q{i + 1}"], mid["wavelike"][i], i)
 
     def test_report_shape(self):
         report = mzi_run(MziConfig(phi=1.0))
@@ -426,6 +454,47 @@ class TestMeasurementModel:
     def test_unknown_perspective(self):
         with pytest.raises(ValidationError):
             measurement_model(np.array([0.6, 0.8]), "eve")
+
+    def test_both_states_certified_in_one_solve(self, monkeypatch):
+        c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
+        solves = count_solves(monkeypatch)
+        measurement_model(c, "bob")
+        assert solves == [("eigvalsh", (2, 3, 3))]
+        solves.clear()
+        # alice: measure_select certifies the pointer marginal, then the one stack
+        measurement_model(c, "alice", outcome=2)
+        assert solves == [("eigvalsh", (3, 3)), ("eigvalsh", (2, 3, 3))]
+
+    @pytest.mark.parametrize("outcome", [None, 0, 1, 2])
+    def test_each_state_keeps_the_bits_it_gets_alone(self, outcome):
+        c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
+        report = measurement_model(c, "bob" if outcome is None else "alice", outcome)
+        obs = ReferenceObservable.computational(3)
+        quanton = duality(report.states["quanton"].matrix, obs, (1.0, 2.0))
+        pointer = duality(report.states["pointer"].matrix, obs, (1.0, 2.0))
+        for i in (0, 1):
+            for key in ("wavelike", "particlelike"):
+                assert_same_bits(report.scalars[f"{key}_q{i + 1}"], quanton[key][i], key)
+            assert_same_bits(report.scalars[f"wavelike_pointer_q{i + 1}"],
+                             pointer["wavelike"][i], i)
+
+    def test_alice_selects_on_the_pointer_marginal(self):
+        c = np.array([0.36 + 0.48j, 0.8j])
+        report = measurement_model(c, "alice", outcome=0)
+        assert report.scalars["p_outcome"] == float(np.abs(c[0]) ** 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "outcome index 2 out of range for dimension 2")):
+            measurement_model(c, "alice", outcome=2)
+
+    def test_bob_premeasurement_matches_the_branch_loop(self):
+        c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
+        joint = np.zeros(9, dtype=complex)
+        for k in range(3):
+            joint[k * 3 + k] = c[k]
+        report = measurement_model(c, "bob")
+        for keep, name in enumerate(("quanton", "pointer")):
+            assert_same_bits(report.states[name].matrix,
+                             partial_trace(projector(joint), (3, 3), keep=keep), name)
 
 
 class TestMorphing:

@@ -47,14 +47,18 @@ def _amplitudes(args) -> np.ndarray:
     return amps / np.sqrt(norm_sq)
 
 
-def _extend_with_q(report: ExperimentReport, q: float | None) -> None:
-    if q in (None, 1.0, 2.0):  # those orders are already reported
-        return
-    rho = report.states[SCENARIOS[report.name].principal_state].matrix
-    split = measures.duality(rho, ReferenceObservable.computational(rho.shape[-1]), q)
-    report.scalars["q"] = float(q)
-    report.scalars["wavelike_q"] = split["wavelike"]
-    report.scalars["particlelike_q"] = split["particlelike"]
+def _run(args) -> ExperimentReport:
+    """The scenario of args, plus the --q split of its principal state when
+    that order is not one the scenario already reports."""
+    scenario = SCENARIOS[args.name]
+    report = scenario.run(args)
+    if args.q not in (None, 1.0, 2.0):
+        rho = report.states[scenario.principal_state].matrix
+        split = measures.duality(rho, ReferenceObservable.computational(rho.shape[-1]), args.q)
+        report.scalars["q"] = float(args.q)
+        report.scalars["wavelike_q"] = split["wavelike"]
+        report.scalars["particlelike_q"] = split["particlelike"]
+    return report
 
 
 def cmd_measures(args) -> int:
@@ -84,9 +88,7 @@ def cmd_measures(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    report = SCENARIOS[args.name].run(args)
-    _extend_with_q(report, args.q)
-    sys.stdout.write(io.dumps(io.report_payload(report)))
+    sys.stdout.write(io.dumps(io.report_payload(_run(args))))
     return 0
 
 
@@ -111,7 +113,8 @@ def cmd_sweep(args) -> int:
     with np.errstate(over="ignore"):
         grid = np.linspace(args.start, args.stop, args.steps)
     blocks = (grid[i:i + SWEEP_BLOCK] for i in range(0, grid.size, SWEEP_BLOCK))
-    evaluated = ((block, _run_swept(args, field, block)) for block in blocks)
+    evaluated = ((block, _run(argparse.Namespace(**{**vars(args), field: block})).scalars)
+                 for block in blocks)
     # The first block runs before the file is opened and names the columns;
     # the others run while it is written, so only one block is held at a time.
     first = next(evaluated)
@@ -121,14 +124,6 @@ def cmd_sweep(args) -> int:
     io.write_csv(args.out, [args.param, *first[1]], tables)
     sys.stdout.write(f"wrote {grid.size} rows to {args.out}\n")
     return 0
-
-
-def _run_swept(args, field: str, values: np.ndarray) -> dict:
-    """One call of the scenario on a block of grid values."""
-    setattr(args, field, values)
-    report = SCENARIOS[args.name].run(args)
-    _extend_with_q(report, args.q)
-    return report.scalars
 
 
 def cmd_verify(args) -> int:

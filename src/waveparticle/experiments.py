@@ -22,20 +22,14 @@ from .states import (
     _clamp,
     _reject_first,
     _unstack,
-    basis_state,
     hs_norm_sq,
     partial_trace,
     projector,
-    tensor,
     validate_pure,
 )
 
 BEAM_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
-_EYE2 = np.eye(2, dtype=complex)
-# dce_analyze: the output splitter acts when the control qubit is |1>.
-_CONTROLLED = (tensor(_EYE2, projector(basis_state(2, 0)))
-               + tensor(BEAM_SPLITTER, projector(basis_state(2, 1))))
 # wave_detector_run: the quanton on path j flips register qubit j of |00>
 # (COUPLE), then crosses the beam splitter; detector k clicking applies the
 # Kraus operator _CLICKS[k] = (<k| BS x 1) COUPLE (1 x |00>), which sends
@@ -44,7 +38,7 @@ _CLICKS = np.zeros((2, 4, 2), dtype=complex)
 _CLICKS[:, 2, 0] = BEAM_SPLITTER[:, 0]
 _CLICKS[:, 1, 1] = BEAM_SPLITTER[:, 1]
 _CLICKS_H = np.ascontiguousarray(_CLICKS.conj().swapaxes(-1, -2))
-for _constant in (_EYE2, _CONTROLLED, _CLICKS, _CLICKS_H):
+for _constant in (_CLICKS, _CLICKS_H):
     _constant.setflags(write=False)
 
 
@@ -141,7 +135,7 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
     An array of phases gives arrays of scalars and stacks of states over
     the grid.
     """
-    mid = phase_shifter(config.phi) @ (BEAM_SPLITTER @ basis_state(2, 0))
+    mid = phase_shifter(config.phi) @ BEAM_SPLITTER[:, 0]
     pre_detector = (BEAM_SPLITTER @ mid[..., None])[..., 0] if config.bs2 == "present" else mid
     rho_mid = projector(mid)
     rho_pre = projector(pre_detector)
@@ -164,10 +158,12 @@ def mzi_run(config: MziConfig) -> ExperimentReport:
 def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     """Interferometer whose output splitter is controlled by a qubit.
 
-    The control decides whether the splitter acts ('in') or not ('out'); the
-    joint pure state is produced by the controlled circuit, the control is
-    traced out, and the wave/particle measures of the remaining quanton state
-    are reported together with the entanglement of the pair.
+    The control decides whether the splitter acts ('in') or not ('out'): the
+    joint pure state is the quanton inside the interferometer on control |0>
+    and that state after the splitter on control |1>, weighted by the
+    control's amplitudes. The control is traced out, and the wave/particle
+    measures of the remaining quanton state are reported together with the
+    entanglement of the pair.
 
     Either argument may be an array of grid values, broadcast against the
     other; the scalars are then arrays over the grid and the states stacks
@@ -177,12 +173,12 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     phase = _checked_phase(phi)
     alpha = _checked_range(bs2_alpha, "bs2_alpha", "[0, pi/2]", np.pi / 2.0 + 1e-12)
     control = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1).astype(complex)
-    start = tensor(basis_state(2, 0), control)
-    inside = tensor(phase_shifter(phase) @ BEAM_SPLITTER, _EYE2)
-    joint = (_CONTROLLED @ (inside @ start[..., None]))[..., 0]
-    split = BipartiteSplit(2, 2)
+    inside = phase_shifter(phase) @ BEAM_SPLITTER[:, 0]
+    branches = inside[..., :, None] * control[..., None, :]   # (..., path, control)
+    branches[..., :, 1:] = BEAM_SPLITTER @ branches[..., :, 1:]
+    joint = branches.reshape(*branches.shape[:-2], 4)
     rho_joint = projector(joint)
-    rho_q = partial_trace(rho_joint, split, keep=0)
+    rho_q = partial_trace(rho_joint, BipartiteSplit(2, 2), keep=0)
     dual_split = measures.duality(rho_q, path_basis(2), (1.0, 2.0))
     scalars = {
         "p_detector_0": _unstack(rho_q[..., 0, 0].real),
@@ -266,8 +262,7 @@ def measurement_model(amplitudes, perspective: str,
     the pointer's and the quanton's. The 'bob' perspective keeps the unread
     joint state and looks at the marginals. Either way the post-interaction
     quanton and pointer are particlelike in their own bases, while the input
-    quanton carried wavelike information H(|c_k|^2); one duality call
-    certifies both reported states as a stack.
+    quanton carried wavelike information H(|c_k|^2).
     """
     c = validate_pure(amplitudes)
     branches = c.size
@@ -281,25 +276,24 @@ def measurement_model(amplitudes, perspective: str,
         if outcome is None:
             raise ValidationError("the alice perspective needs an outcome index")
         rho_q, extra["p_outcome"] = measure_select(np.diag(probabilities), obs, outcome)
-        rho_pointer = rho_q
     elif perspective == "bob":
-        split = BipartiteSplit(branches, branches)
         rho_joint = projector(np.diag(c).reshape(-1))
-        rho_q = partial_trace(rho_joint, split, keep=0)
-        rho_pointer = partial_trace(rho_joint, split, keep=1)
+        rho_q = partial_trace(rho_joint, BipartiteSplit(branches, branches), keep=0)
     else:
         raise ValidationError(f"unknown perspective {perspective!r}")
-    dual_split = measures.duality(np.stack([rho_q, rho_pointer]), obs, (1.0, 2.0))
+    # The premeasurement is symmetric in quanton and pointer, so the pointer's
+    # marginal is the quanton's, bit for bit, and one split measures both.
+    duals = _dual_measures(measures.duality(rho_q, obs, (1.0, 2.0)))
     scalars = {
         "wavelike_pre_q1": pre_wavelike,
         **extra,
-        **_dual_measures({key: value[:, 0] for key, value in dual_split.items()}),
-        "wavelike_pointer_q1": _unstack(dual_split["wavelike"][0, 1]),
-        "wavelike_pointer_q2": _unstack(dual_split["wavelike"][1, 1]),
+        **duals,
+        "wavelike_pointer_q1": duals["wavelike_q1"],
+        "wavelike_pointer_q2": duals["wavelike_q2"],
     }
     states = {
         "quanton": ReportState((branches,), rho_q),
-        "pointer": ReportState((branches,), rho_pointer),
+        "pointer": ReportState((branches,), rho_q),
     }
     return ExperimentReport("measurement-model", scalars, states)
 

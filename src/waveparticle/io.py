@@ -158,15 +158,19 @@ def decode_matrix(rows, field: str) -> np.ndarray:
     return _decode_square(rows, field, f"matrix is not square ({len(rows)} rows)")
 
 
-def _parse_json(text: str, source: str):
+def _parse_json(text: str, source: str) -> dict:
+    """The JSON object of a state or basis file; any other top level is refused."""
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError("json", f"{source}: {exc}") from None
     except ValueError:   # int() refuses a literal beyond sys.get_int_max_str_digits()
         raise StateFormatError("json", f"{source}: integer literal has too many digits") from None
     except RecursionError:
         raise StateFormatError("json", f"{source}: arrays or objects nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise StateFormatError("json", f"{source}: top level must be an object")
+    return payload
 
 
 def _read_dims(payload, total: int) -> tuple[int, ...]:
@@ -202,8 +206,6 @@ class LoadedState(NamedTuple):
 
 def parse_state(text: str, source: str = "state") -> LoadedState:
     payload = _parse_json(text, source)
-    if not isinstance(payload, dict):
-        raise StateFormatError("json", f"{source}: top level must be an object")
     if "matrix" in payload and "amplitudes" in payload:
         raise StateFormatError("matrix", "give either matrix or amplitudes, not both")
     if "amplitudes" in payload:
@@ -255,8 +257,6 @@ def parse_observable(text: str, source: str = "basis",
     """The reference observable of a basis file; a state_dim given must equal
     the file's dim, which is checked before anything of that size is built."""
     payload = _parse_json(text, source)
-    if not isinstance(payload, dict):
-        raise StateFormatError("json", f"{source}: top level must be an object")
     dim = payload.get("dim")
     if not _is_positive_int(dim):
         raise StateFormatError("dim", "expected a positive integer")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ReferenceObservable, _check_dims, _dephase, _populations, dephase
+from .channels import ReferenceObservable, _check_dims, _dephase, _populations
 from .states import (
     ValidationError,
     _certified_spectrum,
@@ -208,5 +208,6 @@ def work(rho, ctx: ThermalContext = NATURAL_UNITS) -> float:
 
 def demon_work_gap(rho, k_obs: ReferenceObservable,
                    ctx: ThermalContext = NATURAL_UNITS) -> float:
-    """Work advantage of the intact state over its secretly measured copy."""
-    return work(rho, ctx) - work(dephase(rho, k_obs), ctx)
+    """Work advantage of the intact state over its secretly measured copy:
+    k_B T times the von Neumann wavelike information that dephasing erases."""
+    return ctx.boltzmann_k * ctx.temperature * wavelike_info(rho, k_obs, 1.0)

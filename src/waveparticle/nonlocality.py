@@ -37,16 +37,12 @@ def _two_qubit(rho) -> np.ndarray:
     return rho
 
 
-def _check_two_qubit(rho) -> np.ndarray:
-    return hermitian_part(_two_qubit(rho), name="two-qubit state")
-
-
 def correlation_matrix(rho) -> np.ndarray:
     """Pauli correlation tensor T_ij = Tr[rho (sigma_i x sigma_j)], order (x, y, z).
 
     A stack (..., 4, 4) of states gives a stack (..., 3, 3) of tensors.
     """
-    return _correlations(_check_two_qubit(rho))
+    return _correlations(hermitian_part(_two_qubit(rho), name="two-qubit state"))
 
 
 def _correlations(rho: np.ndarray) -> np.ndarray:
@@ -125,8 +121,13 @@ def chsh_operator(settings: ChshSettings) -> np.ndarray:
 
 
 def chsh_value(rho, settings: ChshSettings):
-    """Bell operator expectation: a float for one state, an array for a stack."""
-    return _unstack(_expectation(_check_two_qubit(rho), chsh_operator(settings)))
+    """Bell operator expectation: a float for one state, an array for a stack.
+
+    Non-density input is rejected as by chsh_nl, so the value stays within
+    Tsirelson's bound 2 sqrt(2) up to rounding.
+    """
+    rho, _, _ = _certified_spectrum(_two_qubit(rho), name="two-qubit state")
+    return _unstack(_expectation(rho, chsh_operator(settings)))
 
 
 def _expectation(rho: np.ndarray, operator: np.ndarray) -> np.ndarray:

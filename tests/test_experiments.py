@@ -26,6 +26,7 @@ from waveparticle.states import (
     ValidationError,
     basis_state,
     hermitian_part,
+    hs_norm_sq,
     partial_trace,
     projector,
     tensor,
@@ -83,6 +84,29 @@ def reference_wave_detector(werner):
             scalars[f"{key}_q{i + 1}"] = split[key][i]
     scalars["nonlocality_activation_residual"] = np.maximum(*residuals)
     return scalars, matrices
+
+
+def reference_dce(alpha, phi):
+    """dce_analyze at one grid point built as the controlled-splitter circuit:
+    the control and the first splitter's input joined by np.kron, the first
+    splitter and phase plate padded with the identity on the control, and the
+    4x4 splitter acting on control |1>."""
+    controlled = (np.kron(EYE2, projector(basis_state(2, 0)))
+                  + np.kron(BEAM_SPLITTER, projector(basis_state(2, 1))))
+    control = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
+    start = np.kron(basis_state(2, 0), control)
+    inside = np.kron(phase_shifter(phi % (2 * np.pi)) @ BEAM_SPLITTER, EYE2)
+    joint = (controlled @ (inside @ start[:, None]))[:, 0]
+    rho_joint = projector(joint)
+    rho_q = partial_trace(rho_joint, BipartiteSplit(2, 2), keep=0)
+    split = duality(rho_q, ReferenceObservable(EYE2), (1.0, 2.0))
+    scalars = {"p_detector_0": rho_q[0, 0].real, "p_detector_1": rho_q[1, 1].real}
+    for i in (0, 1):
+        for key in ("wavelike", "particlelike"):
+            scalars[f"{key}_q{i + 1}"] = split[key][i]
+    scalars["entanglement_linear"] = max(0.0, 1.0 - hs_norm_sq(rho_q))
+    scalars["entanglement_entropy"] = split["entropy"][0]
+    return scalars, {"joint": rho_joint, "quanton": rho_q}
 
 
 class TestConventions:
@@ -262,6 +286,24 @@ class TestDelayedChoice:
         assert shapes == [(5, 25, 2, 2)]
         np.testing.assert_array_equal(report.scalars["entanglement_entropy"],
                                       tsallis_entropy(report.states["quanton"].matrix, 1.0))
+
+    @pytest.mark.parametrize("alpha, phi", [
+        # 1-d: the splitter out and in, at the phases where cos(phi)^2 = 1
+        (np.array([0.0, 0.0, np.pi / 2, np.pi / 2]), np.array([0.0, np.pi, 0.0, np.pi])),
+        (np.linspace(0.0, np.pi / 2, 5)[:, None], np.linspace(-1.0, 8.0, 9)),
+    ], ids=["corners", "broadcast"])
+    def test_matches_the_controlled_splitter_circuit(self, alpha, phi):
+        report = dce_analyze(alpha, phi)
+        shape = np.broadcast_shapes(np.shape(alpha), np.shape(phi))
+        alphas, phis = np.broadcast_to(alpha, shape), np.broadcast_to(phi, shape)
+        for index in np.ndindex(shape):
+            scalars, matrices = reference_dce(alphas[index], phis[index])
+            assert list(report.scalars) == list(scalars)
+            for key, value in scalars.items():
+                assert_same_bits(report.scalars[key][index], value, (key, index))
+            assert list(report.states) == list(matrices)
+            for name, matrix in matrices.items():
+                assert_same_bits(report.states[name].matrix[index], matrix, (name, index))
 
     def test_grid_checks_name_first_offending_value(self):
         with pytest.raises(ValidationError, match=re.escape("phase phi = inf is not finite")):
@@ -458,12 +500,20 @@ class TestMeasurementModel:
     def test_both_states_certified_in_one_solve(self, monkeypatch):
         c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
         solves = count_solves(monkeypatch)
+        # the pointer's marginal is the quanton's, so one state is solved
         measurement_model(c, "bob")
-        assert solves == [("eigvalsh", (2, 3, 3))]
+        assert solves == [("eigvalsh", (3, 3))]
         solves.clear()
-        # alice: measure_select certifies the pointer marginal, then the one stack
+        # alice: measure_select certifies the pointer marginal, then the state
         measurement_model(c, "alice", outcome=2)
-        assert solves == [("eigvalsh", (3, 3)), ("eigvalsh", (2, 3, 3))]
+        assert solves == [("eigvalsh", (3, 3)), ("eigvalsh", (3, 3))]
+
+    @pytest.mark.parametrize("outcome", [None, 0, 1])
+    def test_pointer_and_quanton_have_the_same_bits(self, outcome):
+        c = np.array([0.36 + 0.48j, 0.8j])
+        report = measurement_model(c, "bob" if outcome is None else "alice", outcome)
+        assert_same_bits(report.states["pointer"].matrix, report.states["quanton"].matrix,
+                         outcome)
 
     @pytest.mark.parametrize("outcome", [None, 0, 1, 2])
     def test_each_state_keeps_the_bits_it_gets_alone(self, outcome):

@@ -304,6 +304,17 @@ class TestThermal:
         gap = measures.demon_work_gap(rho, obs)
         assert gap == pytest.approx(measures.wavelike_info(rho, obs, 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("ctx", [measures.NATURAL_UNITS, measures.ThermalContext.si(300.0)],
+                             ids=["natural", "si"])
+    def test_gap_is_k_t_times_wavelike_info_bit_for_bit(self, ctx):
+        rng = np.random.default_rng(311)
+        stack = np.array([random_density(2, rng) for _ in range(8)])
+        obs = ReferenceObservable.computational(2)
+        gap = measures.demon_work_gap(stack, obs, ctx)
+        expected = ctx.boltzmann_k * ctx.temperature * measures.wavelike_info(stack, obs, 1.0)
+        assert gap.shape == (8,)
+        assert gap.tobytes() == expected.tobytes()
+
     def test_mixed_state_gap_vanishes_when_diagonal(self):
         rho = np.diag([0.3, 0.7]).astype(complex)
         obs = ReferenceObservable.computational(2)

@@ -257,7 +257,9 @@ def density_message(at, total, smallest):
         re.escape(f", smallest {smallest} (tolerance 1.0e-09)") + "$")
 
 
-@pytest.mark.parametrize("measure", [chsh_nl, chsh_bruteforce], ids=["chsh_nl", "chsh_bruteforce"])
+@pytest.mark.parametrize("measure", [
+    chsh_nl, chsh_bruteforce, lambda rho: chsh_value(rho, _canonical_settings()),
+], ids=["chsh_nl", "chsh_bruteforce", "chsh_value"])
 def test_chsh_rejects_non_density_input(measure):
     twice_bell, unit_trace = non_density_two_qubit_states()
     # eigenvalues 0, 0, 0 and 2, the last one from the eigensolver's rounding

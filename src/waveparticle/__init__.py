@@ -16,7 +16,6 @@ from .channels import (
     measure_select,
     measure_select_joint,
     populations,
-    purify,
     reduced_from_informer,
 )
 from .experiments import (
@@ -32,7 +31,6 @@ from .experiments import (
     mzi_run,
     path_basis,
     phase_shifter,
-    recombined_state,
     wave_detector_run,
 )
 from .measures import (
@@ -50,25 +48,19 @@ from .measures import (
     work,
 )
 from .nonlocality import (
-    ChshSettings,
     chsh_bruteforce,
     chsh_nl,
-    chsh_operator,
-    chsh_value,
     concurrence,
     correlation_matrix,
-    linear_entanglement,
 )
 from .states import (
     BipartiteSplit,
     ValidationError,
     basis_state,
-    eig_hermitian,
     hermitian_part,
     hs_norm_sq,
     partial_trace,
     projector,
-    tensor,
     validate_density,
     validate_pure,
 )

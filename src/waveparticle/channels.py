@@ -1,4 +1,4 @@
-"""Measurement-related maps: dephasing, selective projection, purification."""
+"""Measurement-related maps: dephasing and selective projection."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from .states import (
     DEFAULT_TOL,
     ValidationError,
     _certified_spectrum,
-    _check_spectrum,
     _reject_first,
     _unstack,
-    eig_hermitian,
     hermitian_part,
     projector,
     validate_density,
@@ -19,7 +17,6 @@ from .states import (
 )
 
 IMPOSSIBLE_OUTCOME_TOL = 1e-12
-PURIFY_RANK_TOL = 1e-12
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -63,13 +60,6 @@ class ReferenceObservable:
         obs.columns = np.eye(dim, dtype=complex)
         obs._computational = True
         return obs
-
-    @classmethod
-    def from_states(cls, vectors) -> "ReferenceObservable":
-        return cls(np.column_stack([np.asarray(v, dtype=complex) for v in vectors]))
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.columns[..., :, k].copy()
 
     def projector(self, k: int) -> np.ndarray:
         return projector(self.columns[..., :, k])
@@ -166,24 +156,6 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     conditional = unnormalized / p[..., None, None]
     conditional = (conditional + conditional.conj().swapaxes(-1, -2)) / 2.0
     return conditional, _unstack(np.minimum(p, 1.0))
-
-
-def purify(rho) -> np.ndarray:
-    """Pure bipartite vector whose left marginal reproduces rho.
-
-    Uses the spectral form sum_i sqrt(l_i) |v_i>|i>, keeping eigenvalues
-    above 1e-12 only, so the ancilla dimension equals the rank. rho must be
-    one density matrix, checked within DEFAULT_TOL like every state.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim > 2:
-        raise ValidationError(f"state must be one matrix, got a stack of shape {rho.shape}")
-    w, v = eig_hermitian(rho)
-    _check_spectrum(w[::-1])
-    keep = w > PURIFY_RANK_TOL
-    amplitudes = np.sqrt(w[keep])
-    vectors = v[:, keep]
-    return (vectors * amplitudes).reshape(-1)
 
 
 class InformerModel:

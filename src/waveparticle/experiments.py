@@ -61,11 +61,6 @@ def balanced_path_state(phi: float) -> np.ndarray:
     return np.array([1.0, 1.0j * np.exp(1.0j * phi)], dtype=complex) / np.sqrt(2.0)
 
 
-def recombined_state(phi: float) -> np.ndarray:
-    """Output state after the second splitter: cos(phi/2)|1> - sin(phi/2)|0>."""
-    return np.array([-np.sin(phi / 2.0), np.cos(phi / 2.0)], dtype=complex)
-
-
 def _checked_phase(phi) -> np.ndarray:
     """Finite phases reduced modulo 2 pi; the first non-finite one is named."""
     phi = np.asarray(phi, dtype=float)

@@ -234,24 +234,6 @@ def load_state(path: str) -> LoadedState:
         return parse_state(fh.read(), path)
 
 
-def state_payload(dims, matrix: np.ndarray | None = None,
-                  amplitudes: np.ndarray | None = None) -> dict:
-    payload: dict = {"dims": [int(d) for d in dims]}
-    if amplitudes is not None:
-        payload["amplitudes"] = encode_vector(amplitudes)
-    elif matrix is not None:
-        payload["matrix"] = encode_matrix(matrix)
-    else:
-        raise ValueError("need matrix or amplitudes")
-    return payload
-
-
-def save_state(path: str, dims, matrix: np.ndarray | None = None,
-               amplitudes: np.ndarray | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(state_payload(dims, matrix, amplitudes)))
-
-
 def parse_observable(text: str, source: str = "basis",
                      state_dim: int | None = None) -> ReferenceObservable:
     """The reference observable of a basis file; a state_dim given must equal

@@ -5,17 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .states import (
-    DEFAULT_TOL,
     ValidationError,
     _certified_spectrum,
-    _check_unit_norm,
     _clamp,
     _unstack,
     hermitian_part,
-    hs_norm_sq,
-    partial_trace,
-    projector,
-    validate_pure,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -78,26 +72,6 @@ def _two_qubit_measures(rho: np.ndarray, w: np.ndarray, v: np.ndarray):
     return b_max, n_l, _unstack(_concurrence(w, v))
 
 
-class ChshSettings:
-    """Four Bloch measurement directions, two per side."""
-
-    def __init__(self, a, a_prime, b, b_prime):
-        stored = []
-        for name, vec in (("a", a), ("a_prime", a_prime), ("b", b), ("b_prime", b_prime)):
-            arr = np.asarray(vec)
-            if np.iscomplexobj(arr):    # the float cast would drop the imaginary part
-                raise ValidationError(
-                    f"setting {name} has complex entries, expected a real 3-vector")
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (3,):
-                raise ValidationError(f"setting {name} must be a 3-vector")
-            norm = float(np.linalg.norm(arr))
-            if not abs(norm - 1.0) <= DEFAULT_TOL:
-                raise ValidationError(f"setting {name} has norm {norm!r}, expected 1")
-            stored.append(arr)
-        self.a, self.a_prime, self.b, self.b_prime = stored
-
-
 def _bloch_operator(v: np.ndarray) -> np.ndarray:
     """v . sigma for each Bloch vector of a stack (..., 3)."""
     return (v[..., 0, None, None] * SIGMA_X + v[..., 1, None, None] * SIGMA_Y
@@ -113,25 +87,6 @@ def _bell_operator(a, a_prime, b, b_prime) -> np.ndarray:
     """A (x) (b + b') + a' (x) (b - b') for settings stacked alike (..., 3)."""
     return (_kron2(_bloch_operator(a), _bloch_operator(b + b_prime))
             + _kron2(_bloch_operator(a_prime), _bloch_operator(b - b_prime)))
-
-
-def chsh_operator(settings: ChshSettings) -> np.ndarray:
-    """Bell operator for the given settings."""
-    return _bell_operator(settings.a, settings.a_prime, settings.b, settings.b_prime)
-
-
-def chsh_value(rho, settings: ChshSettings):
-    """Bell operator expectation: a float for one state, an array for a stack.
-
-    Non-density input is rejected as by chsh_nl, so the value stays within
-    Tsirelson's bound 2 sqrt(2) up to rounding.
-    """
-    rho, _, _ = _certified_spectrum(_two_qubit(rho), name="two-qubit state")
-    return _unstack(_expectation(rho, chsh_operator(settings)))
-
-
-def _expectation(rho: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    return np.trace(rho @ operator, axis1=-2, axis2=-1).real
 
 
 def _unit_rows(rows: np.ndarray, fallback: np.ndarray):
@@ -206,7 +161,8 @@ def chsh_bruteforce(rho, restarts: int = 32, iterations: int = 200, seed: int = 
                 x[~done] for x in (t, a, a_prime, b, b_prime, value, active))
             if not active.size:
                 break
-    values = _expectation(rho, _bell_operator(*winners.swapaxes(0, 1)))
+    bell = _bell_operator(*winners.swapaxes(0, 1))
+    values = np.trace(rho @ bell, axis1=-2, axis2=-1).real
     return _unstack(values.reshape(shape))
 
 
@@ -232,19 +188,3 @@ def _concurrence(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     core = factor.swapaxes(-1, -2) @ _SPIN_FLIP @ factor
     s = np.linalg.svd(core, compute_uv=False)
     return _clamp(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
-
-
-def linear_entanglement(psi, split):
-    """Linear entropy 1 - Tr(rho_A^2) of one marginal of a pure bipartite state.
-
-    A float for one state; a stack (..., d) of states gives an array, and the
-    first of them that is not normalized is named by its index.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    psi = validate_pure(psi) if psi.ndim <= 1 else _check_unit_norm(psi)
-    dim_a, dim_b = int(split[0]), int(split[1])
-    if psi.shape[-1] != dim_a * dim_b:
-        raise ValidationError(
-            f"split {dim_a}x{dim_b} does not factor dimension {psi.shape[-1]}")
-    reduced = partial_trace(projector(psi), (dim_a, dim_b), keep=0)
-    return _unstack(_clamp(1.0 - hs_norm_sq(reduced)))

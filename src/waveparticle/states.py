@@ -7,7 +7,6 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-_PHASE_EPS = 1e-12
 
 
 class ValidationError(ValueError):
@@ -46,15 +45,6 @@ def projector(psi) -> np.ndarray:
     """Rank-1 projector |psi><psi|; a stack (..., d) of vectors gives (..., d, d)."""
     psi = np.asarray(psi, dtype=complex)
     return psi[..., :, None] * psi.conj()[..., None, :]
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the first argument's indices major.
-
-    A stack (n, d, d) or (n, d) against one operator or vector is a stack of
-    products, because np.kron pads the lower-rank factor with leading 1s.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _require_square(m: np.ndarray, name: str = "matrix") -> None:
@@ -161,25 +151,6 @@ def _certified_spectrum(m, *, name: str = "state", vectors: bool = False):
     return h, _check_spectrum(w), v
 
 
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix or a stack (..., d, d).
-
-    Eigenvalues come out descending, ties in eigh's order. Each eigenvector
-    has its first component above 1e-12 in modulus made real and positive,
-    so repeated runs agree bit for bit, and each member of a stack gets the
-    bits it would get alone.
-
-    Returns (eigenvalues, matrix of column eigenvectors), stacked alike.
-    """
-    w, v = np.linalg.eigh(hermitian_part(m))
-    first = np.argmax(np.abs(v) > _PHASE_EPS, axis=-2)[..., None, :]
-    pivot = np.take_along_axis(v, first, axis=-2)
-    v = v * (np.abs(pivot) / pivot)
-    order = np.argsort(-w, axis=-1, kind="stable")
-    return (np.take_along_axis(w, order, axis=-1),
-            np.take_along_axis(v, order[..., None, :], axis=-1))
-
-
 def hs_norm_sq(m):
     """Squared Hilbert-Schmidt norm: sum of squared entry moduli, Tr(M^H M).
 
@@ -196,15 +167,10 @@ def validate_pure(psi) -> np.ndarray:
     if psi.ndim != 1 or psi.size == 0:
         raise ValidationError(
             f"amplitude vector must be 1-d and nonempty, got shape {psi.shape}")
-    return _check_unit_norm(psi)
-
-
-def _check_unit_norm(psi: np.ndarray) -> np.ndarray:
-    """Check each vector along the last axis for unit norm; the first failing
-    member of a stack is named by its index."""
-    norm_sq = np.sum(np.abs(psi) ** 2, axis=-1)
-    _reject_first(~(np.abs(norm_sq - 1.0) <= DEFAULT_TOL), lambda index, at: (
-        f"state{at} norm^2 = {float(norm_sq[index])!r} deviates from 1 beyond {DEFAULT_TOL:.1e}"))
+    norm_sq = float(np.sum(np.abs(psi) ** 2))
+    if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
+        raise ValidationError(
+            f"state norm^2 = {norm_sq!r} deviates from 1 beyond {DEFAULT_TOL:.1e}")
     return psi
 
 

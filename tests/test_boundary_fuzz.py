@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io as text_io
 import json
+import math
 import warnings
 
 import pytest
@@ -29,12 +30,24 @@ VALID_STATES = [
                                 [[0, 0], [0.1, 0], [0, 0], [0, 0]],
                                 [[0, 0], [0, 0], [0.1, 0], [0, 0]],
                                 [[0.1, -0.05], [0, 0], [0, 0], [0.4, 0]]]},
+    {"dims": [2, 2, 2], "amplitudes": [[S, 0.0]] + [[0.0, 0.0]] * 6 + [[0.0, S]]},
+    {"dims": [3, 2], "matrix": [[[0.3, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0.05, 0.02]],
+                                [[0, 0], [0.2, 0], [0, 0], [0, 0], [0, 0], [0, 0]],
+                                [[0, 0], [0, 0], [0.1, 0], [0, 0], [0, 0], [0, 0]],
+                                [[0, 0], [0, 0], [0, 0], [0.1, 0], [0, 0], [0, 0]],
+                                [[0, 0], [0, 0], [0, 0], [0, 0], [0.2, 0], [0, 0]],
+                                [[0.05, -0.02], [0, 0], [0, 0], [0, 0], [0, 0], [0.1, 0]]]},
 ]
-# a Hadamard basis for the qubit states, and the Bell basis for the two-qubit ones
+# a Hadamard basis for the qubit states, the Bell basis for the two-qubit ones,
+# a cyclic shift of the computational basis in dimension 6, and the Sylvester
+# Hadamard basis, entries +-8^-1/2, in dimension 8
 VALID_BASES = {
     2: {"dim": 2, "basis": [[[S, 0], [S, 0]], [[S, 0], [-S, 0]]]},
     4: {"dim": 4, "basis": [[[S, 0], [0, 0], [0, 0], [S, 0]], [[S, 0], [0, 0], [0, 0], [-S, 0]],
                             [[0, 0], [S, 0], [S, 0], [0, 0]], [[0, 0], [S, 0], [-S, 0], [0, 0]]]},
+    6: {"dim": 6, "basis": [[[int(j == (k + 1) % 6), 0] for j in range(6)] for k in range(6)]},
+    8: {"dim": 8, "basis": [[[8 ** -0.5 * (-1) ** bin(k & j).count("1"), 0] for j in range(8)]
+                            for k in range(8)]},
 }
 
 # finite doubles where arithmetic overflows, underflows or loses every digit
@@ -126,7 +139,7 @@ def test_measures_on_mutated_state_files(folder, data, q):
 @FUZZ
 @given(data=st.data(), state=st.sampled_from(VALID_STATES), q=st.none() | FINITE)
 def test_measures_on_mutated_basis_files(folder, data, state, q):
-    dim = 2 ** len(state["dims"])
+    dim = math.prod(state["dims"])
     text = data.draw(mutated(VALID_BASES[dim]) | JSON_VALUES.map(json.dumps))
     run_main(["measures", written(folder / "valid.json", json.dumps(state)),
               "--basis", written(folder / "basis.json", text), *q_flag(q)])

@@ -14,7 +14,6 @@ from waveparticle.channels import (
     measure_select_joint,
     _populations,
     populations,
-    purify,
     reduced_from_informer,
 )
 from waveparticle.measures import duality
@@ -24,7 +23,6 @@ from waveparticle.states import (
     basis_state,
     partial_trace,
     projector,
-    tensor,
 )
 
 RNG = np.random.default_rng(202)
@@ -44,7 +42,7 @@ class TestReferenceObservable:
     def test_computational(self):
         obs = ReferenceObservable.computational(3)
         np.testing.assert_array_equal(obs.columns, np.eye(3))
-        np.testing.assert_array_equal(obs.vector(2), basis_state(3, 2))
+        np.testing.assert_array_equal(obs.columns[:, 2], basis_state(3, 2))
 
     @pytest.mark.parametrize("dim", [1, 4, 128])
     def test_computational_columns_are_exactly_the_identity(self, dim):
@@ -52,9 +50,10 @@ class TestReferenceObservable:
         assert columns.dtype == complex
         assert np.array_equal(columns, np.eye(dim))
 
-    def test_from_states(self):
-        obs = ReferenceObservable.from_states([basis_state(2, 1), basis_state(2, 0)])
-        np.testing.assert_array_equal(obs.vector(0), basis_state(2, 1))
+    def test_from_columns(self):
+        obs = ReferenceObservable(np.column_stack([basis_state(2, 1), basis_state(2, 0)]))
+        np.testing.assert_array_equal(obs.columns[:, 0], basis_state(2, 1))
+        np.testing.assert_array_equal(obs.projector(0), projector(basis_state(2, 1)))
 
     def test_projectors_resolve_identity(self):
         obs = x_basis()
@@ -268,8 +267,8 @@ def test_selection_checks_the_outcome_before_the_state():
 
 class TestMeasureSelectJoint:
     def test_bell_state_click(self):
-        bell = (tensor(basis_state(2, 0), basis_state(2, 0))
-                + tensor(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
+        bell = (np.kron(basis_state(2, 0), basis_state(2, 0))
+                + np.kron(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
         obs = ReferenceObservable.computational(2)
         conditional, p = measure_select_joint(
             projector(bell), BipartiteSplit(2, 2), obs, 1)
@@ -292,7 +291,7 @@ class TestMeasureSelectJoint:
         after_couple[2] = a            # |0>|10>
         after_couple[5] = b            # |1>|01>
         bs = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
-        mixed = tensor(bs, np.eye(4, dtype=complex)) @ after_couple
+        mixed = np.kron(bs, np.eye(4, dtype=complex)) @ after_couple
         obs = ReferenceObservable.computational(2)
         conditional, p = measure_select_joint(
             projector(mixed), BipartiteSplit(2, 4), obs, 0)
@@ -303,35 +302,21 @@ class TestMeasureSelectJoint:
         np.testing.assert_allclose(conditional, projector(expected), atol=1e-12)
 
 
-class TestPurify:
-    def test_maximally_mixed_qubit_gives_bell_state(self):
-        # degenerate spectrum: the deterministic tie-break pins the output
-        psi = purify(np.eye(2, dtype=complex) / 2)
-        bell = (tensor(basis_state(2, 0), basis_state(2, 0))
-                + tensor(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
-        np.testing.assert_allclose(psi, bell, atol=1e-12)
-
+class TestPurification:
     def test_marginal_recovers_state(self):
+        # sum_k sqrt(p_k) |v_k>|k> over the nonzero eigenpairs of rho
         rho = random_density(4)
-        psi = purify(rho)
-        rank = psi.size // 4
-        recovered = partial_trace(projector(psi), BipartiteSplit(4, rank), keep=0)
-        np.testing.assert_allclose(recovered, rho, atol=1e-8)
+        w, v = np.linalg.eigh(rho)
+        psi = (v * np.sqrt(w)).reshape(-1)
+        recovered = partial_trace(projector(psi), BipartiteSplit(4, 4), keep=0)
+        np.testing.assert_allclose(recovered, rho, atol=1e-12)
 
     def test_pure_input_needs_no_ancilla(self):
         vec = np.array([0.6, 0.8j], dtype=complex)
-        psi = purify(projector(vec))
-        assert psi.size == 2
-        np.testing.assert_allclose(projector(psi), projector(vec), atol=1e-10)
-
-    @pytest.mark.parametrize("spectrum,shown", [
-        ([2.0, -1.0], "sum to 1.0, smallest -1.000e+00"),
-        ([0.5, 0.6], "sum to 1.1, smallest 5.000e-01"),
-    ])
-    def test_rejects_what_no_state_marginal_can_be(self, spectrum, shown):
-        with pytest.raises(ValidationError, match=re.escape(
-                f"state is not a density matrix: eigenvalues {shown}")):
-            purify(np.diag(spectrum))
+        rho = projector(vec)
+        np.testing.assert_array_equal(partial_trace(rho, BipartiteSplit(2, 1), keep=0), rho)
+        np.testing.assert_allclose(partial_trace(rho, BipartiteSplit(2, 1), keep=1),
+                                   [[1.0]], atol=1e-15)
 
 
 class TestInformer:
@@ -357,7 +342,7 @@ class TestInformer:
         i0 = np.array([1.0, 0.0], dtype=complex)
         i1 = np.array([eta, np.sqrt(1 - eta ** 2)], dtype=complex)
         c = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
-        joint = tensor(basis_state(2, 0), i0) * c[0] + tensor(basis_state(2, 1), i1) * c[1]
+        joint = np.kron(basis_state(2, 0), i0) * c[0] + np.kron(basis_state(2, 1), i1) * c[1]
         expected = partial_trace(projector(joint), BipartiteSplit(2, 2), keep=0)
         gram = np.array([[1.0, eta], [eta, 1.0]])
         rho = reduced_from_informer(InformerModel(c, gram))

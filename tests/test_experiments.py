@@ -17,7 +17,6 @@ from waveparticle.experiments import (
     morphing_scan,
     mzi_run,
     phase_shifter,
-    recombined_state,
     wave_detector_run,
 )
 from waveparticle.measures import duality, tsallis_entropy
@@ -29,7 +28,6 @@ from waveparticle.states import (
     hs_norm_sq,
     partial_trace,
     projector,
-    tensor,
 )
 
 PHI_GRID = np.linspace(0.0, 2 * np.pi, 17)[:-1]
@@ -38,7 +36,12 @@ EYE2 = np.eye(2, dtype=complex)
 
 
 def ket01(i, j):
-    return tensor(basis_state(2, i), basis_state(2, j))
+    return np.kron(basis_state(2, i), basis_state(2, j))
+
+
+def recombined_state(phi):
+    """Output state after the second splitter: cos(phi/2)|1> - sin(phi/2)|0>."""
+    return np.array([-np.sin(phi / 2.0), np.cos(phi / 2.0)], dtype=complex)
 
 
 def assert_same_bits(actual, expected, label):
@@ -221,8 +224,8 @@ class TestDelayedChoice:
         # quanton marginal of cos(a)|p>|out> + sin(a)|w>|in>, coherence-free
         # in the control, equals the circuit's marginal
         for alpha, phi in ((0.3, 0.9), (1.1, 4.0), (np.pi / 4, 0.0)):
-            literal = (np.cos(alpha) * tensor(balanced_path_state(phi), basis_state(2, 0))
-                       + np.sin(alpha) * tensor(recombined_state(phi), basis_state(2, 1)))
+            literal = (np.cos(alpha) * np.kron(balanced_path_state(phi), basis_state(2, 0))
+                       + np.sin(alpha) * np.kron(recombined_state(phi), basis_state(2, 1)))
             expected = partial_trace(projector(literal), BipartiteSplit(2, 2), keep=0)
             report = dce_analyze(alpha, phi)
             np.testing.assert_allclose(report.states["quanton"].matrix, expected,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from waveparticle import io
 from waveparticle.experiments import MziConfig, mzi_run
-from waveparticle.states import basis_state, projector
+from waveparticle.states import projector
 
 RNG = np.random.default_rng(505)
 
@@ -163,7 +163,8 @@ class TestStateFiles:
     def test_pure_state_roundtrip(self, tmp_path):
         path = tmp_path / "state.json"
         psi = np.array([0.6, 0.8j], dtype=complex)
-        io.save_state(str(path), (2,), amplitudes=psi)
+        text = io.dumps({"dims": [2], "amplitudes": io.encode_vector(psi)})
+        path.write_text(text, encoding="utf-8")
         loaded = io.load_state(str(path))
         assert loaded.dims == (2,)
         np.testing.assert_allclose(loaded.amplitudes, psi, atol=0)
@@ -173,8 +174,10 @@ class TestStateFiles:
     def test_amplitude_density_is_the_outer_product_bit_for_bit(self, tmp_path, dim):
         # measures outputs of an amplitude file depend on these bits
         psi = RNG.standard_normal(dim) + 1j * RNG.standard_normal(dim)
+        psi = psi / np.linalg.norm(psi)
         path = tmp_path / "state.json"
-        io.save_state(str(path), (dim,), amplitudes=psi / np.linalg.norm(psi))
+        text = io.dumps({"dims": [dim], "amplitudes": io.encode_vector(psi)})
+        path.write_text(text, encoding="utf-8")
         loaded = io.load_state(str(path))
         assert loaded.density.tobytes() == np.outer(loaded.amplitudes,
                                                     loaded.amplitudes.conj()).tobytes()
@@ -182,7 +185,8 @@ class TestStateFiles:
     def test_density_roundtrip(self, tmp_path):
         path = tmp_path / "state.json"
         rho = np.eye(4, dtype=complex) / 4
-        io.save_state(str(path), (2, 2), matrix=rho)
+        text = io.dumps({"dims": [2, 2], "matrix": io.encode_matrix(rho)})
+        path.write_text(text, encoding="utf-8")
         loaded = io.load_state(str(path))
         assert loaded.dims == (2, 2)
         assert loaded.amplitudes is None
@@ -268,7 +272,7 @@ class TestObservableFiles:
             "basis": [[[s, 0.0], [s, 0.0]], [[s, 0.0], [-s, 0.0]]],
         })
         obs = io.parse_observable(text)
-        np.testing.assert_allclose(obs.vector(0), [s, s], atol=1e-12)
+        np.testing.assert_allclose(obs.columns[:, 0], [s, s], atol=1e-12)
 
     def test_wrong_vector_count(self):
         with pytest.raises(io.StateFormatError) as err:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveparticle import measures
-from waveparticle.channels import ReferenceObservable, dephase, purify
+from waveparticle.channels import ReferenceObservable, dephase
 from waveparticle.states import (
     ValidationError,
     basis_state,
@@ -71,7 +71,6 @@ def test_one_rule_for_distributions_and_states(p, accepted):
     checks = {
         "shannon": lambda: measures.shannon(p),
         "tsallis_entropy": lambda: measures.tsallis_entropy(rho),
-        "purify": lambda: purify(rho),
         "validate_density": lambda: validate_density(rho),
     }
     verdicts = {}

@@ -8,14 +8,10 @@ from waveparticle import nonlocality, states
 from waveparticle.nonlocality import (
     PAULIS,
     SIGMA_Y,
-    ChshSettings,
     chsh_bruteforce,
     chsh_nl,
-    chsh_operator,
-    chsh_value,
     concurrence,
     correlation_matrix,
-    linear_entanglement,
 )
 from waveparticle.states import (
     BipartiteSplit,
@@ -24,15 +20,14 @@ from waveparticle.states import (
     hermitian_part,
     partial_trace,
     projector,
-    tensor,
 )
 
 RNG = np.random.default_rng(404)
 
 
 def bell_phi_plus():
-    return (tensor(basis_state(2, 0), basis_state(2, 0))
-            + tensor(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
+    return (np.kron(basis_state(2, 0), basis_state(2, 0))
+            + np.kron(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
 
 
 def random_two_qubit(rng=RNG, rank=4):
@@ -65,7 +60,7 @@ def test_correlation_matrix_bell():
 
 
 def test_correlation_matrix_product():
-    rho = tensor(projector(basis_state(2, 0)), projector(basis_state(2, 0)))
+    rho = np.kron(projector(basis_state(2, 0)), projector(basis_state(2, 0)))
     t = correlation_matrix(rho)
     np.testing.assert_allclose(t, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
@@ -107,7 +102,7 @@ def test_chsh_nl_bell_state():
 
 
 def test_chsh_nl_product_state():
-    rho = tensor(projector(basis_state(2, 0)), projector(basis_state(2, 1)))
+    rho = np.kron(projector(basis_state(2, 0)), projector(basis_state(2, 1)))
     b_max, n_l = chsh_nl(rho)
     assert b_max <= 2.0 + 1e-12
     assert n_l == 0.0
@@ -119,56 +114,21 @@ def test_chsh_nl_werner_threshold():
     assert chsh_nl(werner(0.72))[1] > 0.0
 
 
-def test_chsh_value_canonical_settings():
-    z = np.array([0.0, 0.0, 1.0])
-    x = np.array([1.0, 0.0, 0.0])
-    settings = ChshSettings(z, x, (z + x) / np.sqrt(2), (z - x) / np.sqrt(2))
-    value = chsh_value(projector(bell_phi_plus()), settings)
-    assert value == pytest.approx(2 * np.sqrt(2), abs=1e-12)
-
-
-def test_chsh_operator_is_hermitian():
-    z = np.array([0.0, 0.0, 1.0])
-    x = np.array([1.0, 0.0, 0.0])
-    op = chsh_operator(ChshSettings(z, x, (z + x) / np.sqrt(2), (z - x) / np.sqrt(2)))
-    np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
-
-
-def test_chsh_operator_equals_kron_formula_bit_for_bit():
+def test_bell_operator_equals_kron_formula_bit_for_bit():
     rng = np.random.default_rng(130)
     for _ in range(20):
         a, a_prime, b, b_prime = (v / np.linalg.norm(v) for v in rng.standard_normal((4, 3)))
-        settings = ChshSettings(a, a_prime, b, b_prime)
 
         def bloch(v):
             return v[0] * PAULIS[0] + v[1] * PAULIS[1] + v[2] * PAULIS[2]
 
         oracle = (np.kron(bloch(a), bloch(b + b_prime))
                   + np.kron(bloch(a_prime), bloch(b - b_prime)))
-        assert chsh_operator(settings).tobytes() == oracle.tobytes()
-
-
-def test_chsh_settings_validation():
-    z = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValidationError, match="norm"):
-        ChshSettings(2 * z, z, z, z)
-    with pytest.raises(ValidationError, match="3-vector"):
-        ChshSettings(np.zeros(2), z, z, z)
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_chsh_settings_reject_non_finite_direction(value):
-    z = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValidationError, match="setting b has norm"):
-        ChshSettings(z, z, np.array([value, 0.0, 0.0]), z)
-
-
-def test_chsh_settings_reject_complex_direction():
-    z = np.array([0.0, 0.0, 1.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="setting a_prime has complex entries"):
-            ChshSettings(z, [0, 1j, 0], z, z)
+        assert nonlocality._bell_operator(a, a_prime, b, b_prime).tobytes() == oracle.tobytes()
+    z, x = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    canonical = nonlocality._bell_operator(z, x, (z + x) / np.sqrt(2), (z - x) / np.sqrt(2))
+    assert np.trace(projector(bell_phi_plus()) @ canonical).real == pytest.approx(
+        2 * np.sqrt(2), abs=1e-12)
 
 
 def test_bruteforce_matches_closed_form():
@@ -218,19 +178,12 @@ def test_unit_rows_keep_the_bits_of_the_norm_and_fall_back_on_zero_rows():
     assert np.array_equal(unit[kept], expected[kept])
 
 
-def _canonical_settings():
-    z = np.array([0.0, 0.0, 1.0])
-    x = np.array([1.0, 0.0, 0.0])
-    return ChshSettings(z, x, (z + x) / np.sqrt(2), (z - x) / np.sqrt(2))
-
-
 @pytest.mark.parametrize("measure", [
     correlation_matrix,
     chsh_nl,
-    lambda rho: chsh_value(rho, _canonical_settings()),
     chsh_bruteforce,
     concurrence,
-], ids=["correlation_matrix", "chsh_nl", "chsh_value", "chsh_bruteforce", "concurrence"])
+], ids=["correlation_matrix", "chsh_nl", "chsh_bruteforce", "concurrence"])
 def test_rejects_non_hermitian_two_qubit_input(measure):
     bad = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
     bad[0, 3] = 0.5
@@ -257,9 +210,7 @@ def density_message(at, total, smallest):
         re.escape(f", smallest {smallest} (tolerance 1.0e-09)") + "$")
 
 
-@pytest.mark.parametrize("measure", [
-    chsh_nl, chsh_bruteforce, lambda rho: chsh_value(rho, _canonical_settings()),
-], ids=["chsh_nl", "chsh_bruteforce", "chsh_value"])
+@pytest.mark.parametrize("measure", [chsh_nl, chsh_bruteforce], ids=["chsh_nl", "chsh_bruteforce"])
 def test_chsh_rejects_non_density_input(measure):
     twice_bell, unit_trace = non_density_two_qubit_states()
     # eigenvalues 0, 0, 0 and 2, the last one from the eigensolver's rounding
@@ -316,7 +267,7 @@ def test_concurrence_rejects_non_density_input():
 
 
 def test_concurrence_product_state():
-    rho = tensor(projector(basis_state(2, 0)), projector(basis_state(2, 1)))
+    rho = np.kron(projector(basis_state(2, 0)), projector(basis_state(2, 1)))
     assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -337,7 +288,7 @@ def test_concurrence_against_eigenvalue_route():
 def test_local_unitary_invariance():
     for _ in range(10):
         rho = random_two_qubit()
-        u = tensor(random_su2(), random_su2())
+        u = np.kron(random_su2(), random_su2())
         rotated = u @ rho @ u.conj().T
         assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
         b1, n1 = chsh_nl(rho)
@@ -346,25 +297,79 @@ def test_local_unitary_invariance():
         assert n2 == pytest.approx(n1, abs=1e-9)
 
 
-def test_linear_entanglement_bell():
-    assert linear_entanglement(bell_phi_plus(), BipartiteSplit(2, 2)) == pytest.approx(
-        0.5, abs=1e-12)
+def test_bell_operator_is_hermitian():
+    rng = np.random.default_rng(131)
+    settings = rng.standard_normal((4, 5, 3))
+    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+    op = nonlocality._bell_operator(*settings)
+    assert op.shape == (5, 4, 4)
+    np.testing.assert_allclose(op, op.conj().swapaxes(-1, -2), atol=1e-12)
 
 
-def test_linear_entanglement_product():
-    psi = tensor(basis_state(2, 0), np.array([0.6, 0.8], dtype=complex))
-    assert linear_entanglement(psi, BipartiteSplit(2, 2)) == pytest.approx(0.0, abs=1e-12)
+def test_bell_operator_stack_matches_single_settings():
+    rng = np.random.default_rng(132)
+    settings = rng.standard_normal((4, 6, 3))
+    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+    stacked = nonlocality._bell_operator(*settings)
+    for i in range(6):
+        single = nonlocality._bell_operator(*settings[:, i])
+        assert stacked[i].tobytes() == single.tobytes()
 
 
-def test_linear_entanglement_symmetric_under_swap():
-    psi = RNG.standard_normal(6) + 1j * RNG.standard_normal(6)
-    psi /= np.linalg.norm(psi)
-    value = linear_entanglement(psi, BipartiteSplit(2, 3))
-    reduced_b = partial_trace(projector(psi), BipartiteSplit(2, 3), keep=1)
-    other = 1.0 - float(np.sum(np.abs(reduced_b) ** 2))
-    assert value == pytest.approx(other, abs=1e-12)
+@pytest.mark.parametrize("measure", [
+    correlation_matrix,
+    chsh_nl,
+    chsh_bruteforce,
+    concurrence,
+], ids=["correlation_matrix", "chsh_nl", "chsh_bruteforce", "concurrence"])
+def test_rejects_a_state_that_is_not_two_qubits(measure):
+    with pytest.raises(ValidationError, match=re.escape(
+            "two-qubit state must be 4x4, got shape (6, 6)")):
+        measure(np.eye(6) / 6)
 
 
-def test_linear_entanglement_split_mismatch():
-    with pytest.raises(ValidationError):
-        linear_entanglement(bell_phi_plus(), BipartiteSplit(2, 3))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_chsh_bruteforce_rejects_non_finite_state(value):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = value
+    with pytest.raises(ValidationError, match=re.escape(
+            "two-qubit state has non-finite entries at [(1, 2)]")):
+        chsh_bruteforce(rho)
+
+
+def test_concurrence_of_pure_states_matches_linear_entropy():
+    # C^2 = 2 (1 - Tr rho_A^2) for every pure two-qubit state, on either side
+    rng = np.random.default_rng(405)
+    for _ in range(10):
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi /= np.linalg.norm(psi)
+        rho = projector(psi)
+        for keep in (0, 1):
+            reduced = partial_trace(rho, BipartiteSplit(2, 2), keep=keep)
+            linear_entropy = 1.0 - float(np.sum(np.abs(reduced) ** 2))
+            assert concurrence(rho) ** 2 == pytest.approx(2 * linear_entropy, abs=1e-9)
+
+
+def test_measures_symmetric_under_swap():
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    rng = np.random.default_rng(406)
+    for _ in range(10):
+        rho = random_two_qubit(rng)
+        swapped = swap @ rho @ swap
+        np.testing.assert_allclose(correlation_matrix(swapped), correlation_matrix(rho).T,
+                                   atol=1e-12)
+        assert concurrence(swapped) == pytest.approx(concurrence(rho), abs=1e-9)
+        assert chsh_nl(swapped)[0] == pytest.approx(chsh_nl(rho)[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("angle", [0.0, np.pi / 8, np.pi / 5], ids=["product", "pi/8", "pi/5"])
+def test_partially_entangled_pure_state_closed_forms(angle):
+    # cos a |00> + sin a |11>: C = sin 2a and b_max = 2 sqrt(1 + sin^2 2a)
+    psi = np.cos(angle) * basis_state(4, 0) + np.sin(angle) * basis_state(4, 3)
+    rho = projector(psi)
+    s = np.sin(2 * angle)
+    assert concurrence(rho) == pytest.approx(s, abs=1e-9)
+    b_max, n_l = chsh_nl(rho)
+    assert b_max == pytest.approx(2 * np.sqrt(1 + s * s), abs=1e-9)
+    assert n_l == pytest.approx(s * s, abs=1e-9)
+    assert chsh_bruteforce(rho) == pytest.approx(b_max, abs=1e-9)

@@ -63,3 +63,16 @@ def test_the_maps_make_what_they_name(case):
     h = sampling.hermitian(stack)
     assert np.array_equal(h, h.conj().swapaxes(-1, -2))
 
+
+
+def test_haar_phases_make_the_qr_factor_positive():
+    # u^H g = r is upper triangular with a real, positive diagonal, which
+    # fixes the phase of every column of u
+    rng = np.random.default_rng(11)
+    for dim in range(1, 9):
+        g = sampling.ginibre(rng, dim, (16,))
+        r = sampling.haar_unitary(g).conj().swapaxes(-1, -2) @ g
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+        assert np.max(np.abs(diag.imag)) < 1e-12
+        assert np.min(diag.real) > 0.0

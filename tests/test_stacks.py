@@ -17,7 +17,6 @@ from waveparticle.channels import (
     measure_select,
     measure_select_joint,
     populations,
-    purify,
     reduced_from_informer,
 )
 from waveparticle.experiments import (
@@ -28,23 +27,20 @@ from waveparticle.experiments import (
     wave_detector_run,
 )
 from waveparticle.nonlocality import (
-    ChshSettings,
     chsh_bruteforce,
     chsh_nl,
-    chsh_value,
     concurrence,
     correlation_matrix,
 )
 from waveparticle.states import (
     ValidationError,
-    eig_hermitian,
     hermitian_part,
     projector,
     validate_density,
+    validate_pure,
 )
 
 AMPS = np.array([0.6, 0.8j], dtype=complex)
-Z = np.array([0.0, 0.0, 1.0])
 
 
 def random_two_qubit(rng, rank):
@@ -88,7 +84,6 @@ def assert_report_member(report, i, single):
 def test_two_qubit_stack_matches_per_member_loop(seed, size):
     rng = np.random.default_rng(seed)
     stack = np.array([random_two_qubit(rng, int(rng.integers(1, 5))) for _ in range(size)])
-    w, v = eig_hermitian(stack)
     repaired = validate_density(stack)
     t = correlation_matrix(stack)
     b_max, n_l = chsh_nl(stack)
@@ -97,13 +92,8 @@ def test_two_qubit_stack_matches_per_member_loop(seed, size):
     clicks = [measure_select_joint(stack, (2, 2), obs, k) for k in (0, 1)]
     basis, outcome = random_basis(rng, 4), int(rng.integers(4))
     selected, p_selected = measure_select(stack, basis, outcome)
-    directions = ChshSettings(*(v / np.linalg.norm(v) for v in rng.standard_normal((4, 3))))
-    bell = chsh_value(stack, directions)
-    assert conc.shape == b_max.shape == n_l.shape == p_selected.shape == bell.shape == (size,)
+    assert conc.shape == b_max.shape == n_l.shape == p_selected.shape == (size,)
     for i, rho in enumerate(stack):
-        single_w, single_v = eig_hermitian(rho)
-        assert_same_bits(w[i], single_w)
-        assert_same_bits(v[i], single_v)
         assert_same_bits(repaired[i], validate_density(rho))
         assert_same_bits(t[i], correlation_matrix(rho))
         assert (b_max[i], n_l[i]) == chsh_nl(rho)
@@ -115,7 +105,6 @@ def test_two_qubit_stack_matches_per_member_loop(seed, size):
         single_selected, single_p_selected = measure_select(rho, basis, outcome)
         assert_same_bits(selected, single_selected)
         assert p_selected[i] == single_p_selected
-        assert bell[i] == chsh_value(rho, directions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,7 +167,7 @@ def test_stacked_basis_matches_per_member_loop(seed, dim, size):
         assert stacked.keys() == single.keys()
         for key, value in single.items():
             assert_same_bits(stacked[key][i], value)
-        assert_same_bits(obs.vector(1)[i], basis.vector(1))
+        assert_same_bits(obs.columns[i, :, 1], basis.columns[:, 1])
         assert_same_bits(obs.projector(1)[i], basis.projector(1))
 
 
@@ -332,9 +321,8 @@ def test_single_inputs_return_floats():
     conditional, p = measure_select_joint(rho, (2, 2), ReferenceObservable.computational(2), 0)
     selected, p_selected = measure_select(rho, ReferenceObservable.computational(4), 0)
     assert conditional.shape == (2, 2) and selected.shape == (4, 4)
-    bell = chsh_value(rho, ChshSettings(Z, Z, Z, Z))
     assert all(type(value) is float
-               for value in (*chsh_nl(rho), concurrence(rho), p, p_selected, bell))
+               for value in (*chsh_nl(rho), concurrence(rho), p, p_selected))
     assert correlation_matrix(rho).shape == (3, 3)
 
 
@@ -348,7 +336,7 @@ def with_member(entry, value, member=1, size=3):
     (correlation_matrix, "two-qubit state"),
     (chsh_nl, "two-qubit state"),
     (concurrence, "two-qubit state"),
-    (eig_hermitian, "matrix"),
+    (hermitian_part, "matrix"),
     (validate_density, "density matrix"),
 ])
 @pytest.mark.parametrize("member", [0, 2])
@@ -427,10 +415,9 @@ def test_gram_stack_names_bad_member():
 
 
 def test_single_state_functions_reject_stacks():
-    stack = np.array([np.eye(4, dtype=complex) / 4] * 2)
     with pytest.raises(ValidationError, match=re.escape(
-            "state must be one matrix, got a stack of shape (2, 4, 4)")):
-        purify(stack)
+            "amplitude vector must be 1-d and nonempty, got shape (2, 2)")):
+        validate_pure(np.eye(2))
     with pytest.raises(ValidationError, match=re.escape(
             "two-qubit state must be 4x4, got shape (3, 3)")):
         chsh_nl(np.eye(3))

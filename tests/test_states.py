@@ -9,12 +9,10 @@ from waveparticle.states import (
     BipartiteSplit,
     ValidationError,
     basis_state,
-    eig_hermitian,
     hermitian_part,
     hs_norm_sq,
     partial_trace,
     projector,
-    tensor,
     validate_density,
     validate_pure,
 )
@@ -43,12 +41,6 @@ def test_projector_is_rank_one():
     np.testing.assert_allclose(p @ psi, psi, atol=1e-12)
 
 
-def test_tensor_matches_kron():
-    a = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
-    b = RNG.standard_normal((3, 3))
-    np.testing.assert_array_equal(tensor(a, b), np.kron(a, b))
-
-
 def test_split_validation():
     split = BipartiteSplit(2, 3)
     assert split.dim == 6
@@ -59,15 +51,15 @@ def test_split_validation():
 def test_partial_trace_of_product():
     rho_a = projector(random_vec(2))
     rho_b = projector(random_vec(3))
-    joint = tensor(rho_a, rho_b)
+    joint = np.kron(rho_a, rho_b)
     split = BipartiteSplit(2, 3)
     np.testing.assert_allclose(partial_trace(joint, split, keep=0), rho_a, atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, split, keep=1), rho_b, atol=1e-12)
 
 
 def test_partial_trace_bell_state():
-    bell = (tensor(basis_state(2, 0), basis_state(2, 0))
-            + tensor(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
+    bell = (np.kron(basis_state(2, 0), basis_state(2, 0))
+            + np.kron(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
     reduced = partial_trace(projector(bell), BipartiteSplit(2, 2), keep=0)
     np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
@@ -87,36 +79,6 @@ def test_partial_trace_rejects_bad_axis():
         partial_trace(rho, BipartiteSplit(2, 2), keep=2)
 
 
-def test_eig_hermitian_known_spectrum():
-    m = np.diag([3.0, 1.0, 2.0]).astype(complex)
-    w, v = eig_hermitian(m)
-    np.testing.assert_allclose(w, [3.0, 2.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
-
-
-def test_eig_hermitian_reconstruction():
-    h = RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))
-    h = (h + h.conj().T) / 2
-    w, v = eig_hermitian(h)
-    np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-8)
-    assert np.all(np.diff(w) <= 1e-12)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig_hermitian_deterministic_on_degenerate_input():
-    w1, v1 = eig_hermitian(np.eye(4, dtype=complex))
-    w2, v2 = eig_hermitian(np.eye(4, dtype=complex))
-    np.testing.assert_array_equal(v1, v2)
-    # phase fix: the first significant component of each vector is real positive
-    for col in v1.T:
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        assert lead.real > 0 and abs(lead.imag) < 1e-12
-
-
 def test_hs_norm_sq():
     rho = np.eye(2) / 2
     assert hs_norm_sq(rho) == pytest.approx(0.5, abs=1e-15)
@@ -127,6 +89,9 @@ def test_validate_pure():
     assert psi.dtype == complex
     with pytest.raises(ValidationError):
         validate_pure(psi * 1.001)
+    with pytest.raises(ValidationError, match=re.escape(
+            "state norm^2 = 2.0 deviates from 1 beyond 1.0e-09")):
+        validate_pure([1.0, 1.0])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.inf)])
@@ -175,6 +140,65 @@ def test_validate_density_rejects_wrong_trace():
         validate_density(np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize("spectrum,shown", [
+    ([2.0, -1.0], "sum to 1.0, smallest -1.000e+00"),
+    ([0.5, 0.6], "sum to 1.1, smallest 5.000e-01"),
+])
+def test_validate_density_names_what_no_state_can_be(spectrum, shown):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"state is not a density matrix: eigenvalues {shown} (tolerance 1.0e-09)")):
+        validate_density(np.diag(spectrum))
+
+
+def test_validate_density_keeps_a_known_spectrum():
+    rho = np.diag([0.5, 0.2, 0.3]).astype(complex)
+    out = validate_density(rho)
+    np.testing.assert_allclose(np.linalg.eigvalsh(out), [0.2, 0.3, 0.5], atol=1e-12)
+    np.testing.assert_allclose(out, rho, atol=1e-12)
+
+
+def test_validate_density_reconstructs_a_random_state():
+    g = RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    out = validate_density(rho)
+    np.testing.assert_allclose(out, rho, atol=1e-12)
+    assert np.array_equal(out, out.conj().T)
+
+
+def test_validate_density_is_deterministic_on_degenerate_input():
+    # eigh may return any basis of the degenerate eigenspace; V diag(w) V^H may not care
+    first = validate_density(np.eye(4, dtype=complex) / 4)
+    second = validate_density(np.eye(4, dtype=complex) / 4)
+    assert np.array_equal(first, second)
+    np.testing.assert_allclose(first, np.eye(4) / 4, atol=1e-15)
+
+
+def test_hermitian_part_rejects_non_hermitian():
+    with pytest.raises(ValidationError, match=re.escape(
+            "matrix is not Hermitian: max |M - M^H| = 1.000e+00 exceeds 1.0e-09")):
+        hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_part_is_the_mean_with_the_adjoint():
+    h = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+    h = (h + h.conj().T) / 2
+    noisy = h + 1e-12 * RNG.standard_normal((3, 3))
+    out = hermitian_part(noisy)
+    assert np.array_equal(out, (noisy + noisy.conj().T) / 2)
+    assert np.array_equal(out, out.conj().T)
+
+
+def test_partial_trace_of_kron_operators():
+    # not states: each factor's trace scales the other factor's marginal
+    a = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+    b = RNG.standard_normal((3, 3))
+    joint = np.kron(a, b)
+    split = BipartiteSplit(2, 3)
+    np.testing.assert_allclose(partial_trace(joint, split, keep=0), a * np.trace(b), atol=1e-12)
+    np.testing.assert_allclose(partial_trace(joint, split, keep=1), b * np.trace(a), atol=1e-12)
+
+
 def test_validate_density_clips_tiny_negatives():
     rho = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
     out = validate_density(rho)
@@ -191,7 +215,7 @@ def test_product_state_marginals(seed, da, db):
     b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
-    joint = projector(tensor(a, b))
+    joint = projector(np.kron(a, b))
     split = BipartiteSplit(da, db)
     np.testing.assert_allclose(partial_trace(joint, split, 0), projector(a), atol=1e-10)
     np.testing.assert_allclose(partial_trace(joint, split, 1), projector(b), atol=1e-10)

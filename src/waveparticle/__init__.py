@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 
 from .channels import (
     ImpossibleOutcomeError,
-    InformerModel,
     ReferenceObservable,
     dephase,
     measure_select,
@@ -21,9 +20,7 @@ from .channels import (
 from .experiments import (
     BEAM_SPLITTER,
     ExperimentReport,
-    MziConfig,
     ReportState,
-    WernerInput,
     balanced_path_state,
     dce_analyze,
     measurement_model,
@@ -54,7 +51,6 @@ from .nonlocality import (
     correlation_matrix,
 )
 from .states import (
-    BipartiteSplit,
     ValidationError,
     basis_state,
     hermitian_part,

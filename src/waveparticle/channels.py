@@ -8,6 +8,7 @@ from .states import (
     DEFAULT_TOL,
     ValidationError,
     _certified_spectrum,
+    _factor_dims,
     _reject_first,
     _unstack,
     hermitian_part,
@@ -134,7 +135,7 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     is named by its index.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim_a, dim_b = int(split[0]), int(split[1])
+    dim_a, dim_b = _factor_dims(split)
     if rho.ndim < 2 or rho.shape[-2:] != (dim_a * dim_b, dim_a * dim_b):
         raise ValidationError(
             f"state shape {rho.shape} does not match split {dim_a}x{dim_b}")
@@ -158,48 +159,30 @@ def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
     return conditional, _unstack(np.minimum(p, 1.0))
 
 
-class InformerModel:
-    """Branch amplitudes plus the Gram matrix of the attached informer states.
-
-    gram[k', k] is the overlap <I_k'|I_k>; unit diagonal and positive
-    semidefiniteness are required. gram may be a stack (..., n, n) of Gram
-    matrices sharing the amplitudes; the first failing one is named by its
-    index.
-    """
-
-    def __init__(self, amplitudes, gram):
-        c = validate_pure(amplitudes)
-        g = np.asarray(gram, dtype=complex)
-        n = c.size
-        if g.ndim < 2 or g.shape[-2:] != (n, n):
-            raise ValidationError(
-                f"Gram matrix shape {g.shape} does not match {n} branches")
-        g = hermitian_part(g, name="Gram matrix")
-        diag_dev = np.abs(np.diagonal(g, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
-        _reject_first(diag_dev > DEFAULT_TOL, lambda index, at: (
-            f"Gram diagonal{at} deviates from 1 by {diag_dev[index]:.3e}, "
-            "informer states must be normalized"))
-        smallest = np.linalg.eigvalsh(g)[..., 0]
-        _reject_first(smallest < -DEFAULT_TOL, lambda index, at: (
-            f"Gram matrix{at} is not positive semidefinite: eigenvalue {smallest[index]:.3e}"))
-        self.amplitudes = c
-        self.gram = g
-
-    @property
-    def branches(self) -> int:
-        return self.amplitudes.size
-
-    def __repr__(self) -> str:
-        return f"InformerModel(branches={self.branches})"
-
-
-def reduced_from_informer(model: InformerModel) -> np.ndarray:
+def reduced_from_informer(amplitudes, gram) -> np.ndarray:
     """Quanton state left after entangling each branch with an informer state.
 
-    Entry (k, k') is c_k conj(c_k') <I_k'|I_k>; overlapping informer states
-    preserve coherence, orthogonal ones erase it. A stack of Gram matrices
-    gives a stack (..., n, n) of states.
+    amplitudes are the branch amplitudes c_k, and gram[k', k] is the overlap
+    <I_k'|I_k> of the attached informer states: unit diagonal and positive
+    semidefiniteness are required. Entry (k, k') of the state is
+    c_k conj(c_k') <I_k'|I_k>; overlapping informer states preserve
+    coherence, orthogonal ones erase it. A stack (..., n, n) of Gram
+    matrices sharing the amplitudes gives a stack of states; the first
+    failing Gram matrix is named by its index.
     """
-    c = model.amplitudes
-    raw = (c[:, None] * c.conj()[None, :]) * model.gram.swapaxes(-1, -2)
+    c = validate_pure(amplitudes)
+    g = np.asarray(gram, dtype=complex)
+    n = c.size
+    if g.ndim < 2 or g.shape[-2:] != (n, n):
+        raise ValidationError(
+            f"Gram matrix shape {g.shape} does not match {n} branches")
+    g = hermitian_part(g, name="Gram matrix")
+    diag_dev = np.abs(np.diagonal(g, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
+    _reject_first(diag_dev > DEFAULT_TOL, lambda index, at: (
+        f"Gram diagonal{at} deviates from 1 by {diag_dev[index]:.3e}, "
+        "informer states must be normalized"))
+    smallest = np.linalg.eigvalsh(g)[..., 0]
+    _reject_first(smallest < -DEFAULT_TOL, lambda index, at: (
+        f"Gram matrix{at} is not positive semidefinite: eigenvalue {smallest[index]:.3e}"))
+    raw = (c[:, None] * c.conj()[None, :]) * g.swapaxes(-1, -2)
     return validate_density(raw)

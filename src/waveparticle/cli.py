@@ -14,8 +14,6 @@ from . import io, measures
 from .channels import ReferenceObservable, dephase  # noqa: F401
 from .experiments import (
     ExperimentReport,
-    MziConfig,
-    WernerInput,
     dce_analyze,
     measurement_model,
     morphing_scan,
@@ -174,12 +172,10 @@ class Scenario(NamedTuple):
 
 
 SCENARIOS = {
-    "mzi": Scenario(lambda args: mzi_run(MziConfig(phi=args.phi, bs2=args.bs2)),
-                    ("phi",), "pre_detector"),
+    "mzi": Scenario(lambda args: mzi_run(args.phi, args.bs2), ("phi",), "pre_detector"),
     "dce": Scenario(_run_dce, ("bs2-alpha", "phi"), "quanton"),
-    "wave-detector": Scenario(
-        lambda args: wave_detector_run(WernerInput(args.x, _amplitudes(args))),
-        ("x",), "input"),
+    "wave-detector": Scenario(lambda args: wave_detector_run(args.x, _amplitudes(args)),
+                              ("x",), "input"),
     "measurement-model": Scenario(
         lambda args: measurement_model(
             _amplitudes(args), "bob" if args.click is None else "alice", outcome=args.click),

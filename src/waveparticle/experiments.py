@@ -8,15 +8,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import measures
-from .channels import (
-    InformerModel,
-    ReferenceObservable,
-    measure_select,
-    reduced_from_informer,
-)
+from .channels import ReferenceObservable, measure_select, reduced_from_informer
 from .nonlocality import _two_qubit_measures
 from .states import (
-    BipartiteSplit,
     ValidationError,
     _certified_spectrum,
     _clamp,
@@ -78,22 +72,12 @@ def _checked_range(values, label: str, shown: str = "[0, 1]",
     return values
 
 
-@dataclass(frozen=True)
-class MziConfig:
-    """Interferometer configuration: relative phase and output splitter mode.
-
-    The phase (or an array of phases) must be finite and is reduced modulo
-    2 pi at construction. The splitter mode is 'present' or 'absent'; a
-    splitter in superposition is dce_analyze's scenario.
-    """
-
-    phi: float | np.ndarray
-    bs2: str = "present"
-
-    def __post_init__(self):
-        if self.bs2 not in ("present", "absent"):
-            raise ValidationError(f"unknown bs2 mode {self.bs2!r}")
-        object.__setattr__(self, "phi", _unstack(_checked_phase(self.phi)))
+def _checked_qubit(amplitudes) -> np.ndarray:
+    """Normalized amplitudes of a single qubit, as complex."""
+    c = validate_pure(amplitudes)
+    if c.size != 2:
+        raise ValidationError("amplitudes must describe a single qubit")
+    return c
 
 
 class ReportState(NamedTuple):
@@ -118,20 +102,26 @@ def _dual_measures(split: dict) -> dict[str, float]:
             for i in (0, 1) for key in ("wavelike", "particlelike")}
 
 
-def mzi_run(config: MziConfig) -> ExperimentReport:
+def mzi_run(phi, bs2: str = "present") -> ExperimentReport:
     """Single-quanton interferometer run.
 
-    The quanton enters on path 0, is split, and picks up the relative phase;
-    it reaches the detectors either directly (splitter absent) or after
-    recombination. Detector probabilities are the path populations of the
-    state in front of the detectors, and the wave/particle measures of that
-    state, with the wavelike information of the state inside, are evaluated
-    in the path basis; one duality call certifies both states as a stack.
-    An array of phases gives arrays of scalars and stacks of states over
-    the grid.
+    The quanton enters on path 0, is split, and picks up the relative phase
+    phi, which must be finite and is reduced modulo 2 pi. The output
+    splitter mode bs2 is 'present' or 'absent': the quanton reaches the
+    detectors after recombination or directly. A splitter in superposition
+    is dce_analyze's scenario.
+
+    Detector probabilities are the path populations of the state in front
+    of the detectors, and the wave/particle measures of that state, with
+    the wavelike information of the state inside, are evaluated in the path
+    basis; one duality call certifies both states as a stack. An array of
+    phases gives arrays of scalars and stacks of states over the grid; the
+    first non-finite phase is named.
     """
-    mid = phase_shifter(config.phi) @ BEAM_SPLITTER[:, 0]
-    pre_detector = (BEAM_SPLITTER @ mid[..., None])[..., 0] if config.bs2 == "present" else mid
+    if bs2 not in ("present", "absent"):
+        raise ValidationError(f"unknown bs2 mode {bs2!r}")
+    mid = phase_shifter(_checked_phase(phi)) @ BEAM_SPLITTER[:, 0]
+    pre_detector = (BEAM_SPLITTER @ mid[..., None])[..., 0] if bs2 == "present" else mid
     rho_mid = projector(mid)
     rho_pre = projector(pre_detector)
     populations = np.abs(pre_detector) ** 2
@@ -173,7 +163,7 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     branches[..., :, 1:] = BEAM_SPLITTER @ branches[..., :, 1:]
     joint = branches.reshape(*branches.shape[:-2], 4)
     rho_joint = projector(joint)
-    rho_q = partial_trace(rho_joint, BipartiteSplit(2, 2), keep=0)
+    rho_q = partial_trace(rho_joint, (2, 2), keep=0)
     dual_split = measures.duality(rho_q, path_basis(2), (1.0, 2.0))
     scalars = {
         "p_detector_0": _unstack(rho_q[..., 0, 0].real),
@@ -189,43 +179,26 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     return ExperimentReport("dce", scalars, states)
 
 
-@dataclass(frozen=True)
-class WernerInput:
-    """Mixing weight x, or an array of them, plus the pure qubit the mixture
-    is biased toward."""
-
-    x: float | np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        x = _checked_range(self.x, "mixing weight x")
-        object.__setattr__(self, "x", _unstack(x))
-        amps = validate_pure(self.amplitudes)
-        if amps.size != 2:
-            raise ValidationError("amplitudes must describe a single qubit")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def density(self) -> np.ndarray:
-        x = np.asarray(self.x)[..., None, None]
-        return ((1.0 - x) * np.eye(2, dtype=complex) / 2.0
-                + x * projector(self.amplitudes))
-
-
-def wave_detector_run(werner: WernerInput) -> ExperimentReport:
+def wave_detector_run(x, amplitudes) -> ExperimentReport:
     """Which-path recorder feeding a beam splitter and two detectors.
 
-    Two register qubits start in |00>; a quanton on path 0 flips the first,
-    on path 1 the second, nondestructively. After the quanton crosses the
-    beam splitter one detector clicks, leaving the register in a conditional
-    state whose concurrence and CHSH violation quantify how wavelike the
-    input was. The identity n_l = 2 * wavelike_q2(input) is reported as a
-    residual. Click k is the fixed 4x2 Kraus operator _CLICKS[k] from the
-    quanton to the register, so one product gives both clicks' states and
-    one certified spectral pass measures them. An array of mixing weights
-    runs the whole grid as one stack, giving arrays of scalars and stacks
-    of states.
+    The input is the mixture (1 - x) 1/2 + x |psi><psi| of the maximally
+    mixed qubit and the pure qubit psi whose two amplitudes are given;
+    the mixing weight x lies in [0, 1]. Two register qubits start in |00>;
+    a quanton on path 0 flips the first, on path 1 the second,
+    nondestructively. After the quanton crosses the beam splitter one
+    detector clicks, leaving the register in a conditional state whose
+    concurrence and CHSH violation quantify how wavelike the input was. The
+    identity n_l = 2 * wavelike_q2(input) is reported as a residual. Click k
+    is the fixed 4x2 Kraus operator _CLICKS[k] from the quanton to the
+    register, so one product gives both clicks' states and one certified
+    spectral pass measures them. An array of mixing weights runs the whole
+    grid as one stack, giving arrays of scalars and stacks of states; the
+    first weight outside [0, 1] is named.
     """
-    rho_q = werner.density()
+    x = _checked_range(x, "mixing weight x")[..., None, None]
+    rho_q = ((1.0 - x) * np.eye(2, dtype=complex) / 2.0
+             + x * projector(_checked_qubit(amplitudes)))
     duals = _dual_measures(measures.duality(rho_q, path_basis(2), (1.0, 2.0)))
     clicked = _CLICKS @ rho_q[..., None, :, :] @ _CLICKS_H   # (..., click, 4, 4)
     # p_k = Tr rho_q / 2 for every valid input, so neither click is impossible
@@ -273,7 +246,7 @@ def measurement_model(amplitudes, perspective: str,
         rho_q, extra["p_outcome"] = measure_select(np.diag(probabilities), obs, outcome)
     elif perspective == "bob":
         rho_joint = projector(np.diag(c).reshape(-1))
-        rho_q = partial_trace(rho_joint, BipartiteSplit(branches, branches), keep=0)
+        rho_q = partial_trace(rho_joint, (branches, branches), keep=0)
     else:
         raise ValidationError(f"unknown perspective {perspective!r}")
     # The premeasurement is symmetric in quanton and pointer, so the pointer's
@@ -301,13 +274,11 @@ def morphing_scan(amplitudes, eta) -> ExperimentReport:
     information and erases the coherence. An array of overlaps gives arrays
     of scalars and a stack of states.
     """
-    c = validate_pure(amplitudes)
-    if c.size != 2:
-        raise ValidationError("amplitudes must describe a single qubit")
+    c = _checked_qubit(amplitudes)
     eta = _checked_range(eta, "overlap eta")
     gram = np.ones((*eta.shape, 2, 2), dtype=complex)
     gram[..., 0, 1] = gram[..., 1, 0] = eta
-    rho_q = reduced_from_informer(InformerModel(c, gram))
+    rho_q = reduced_from_informer(c, gram)
     scalars = _dual_measures(measures.duality(rho_q, path_basis(2), (1.0, 2.0)))
     states = {"quanton": ReportState((2,), rho_q)}
     return ExperimentReport("morphing", scalars, states)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import operator
 
 import numpy as np
 
@@ -11,25 +11,6 @@ DEFAULT_TOL = 1e-9
 
 class ValidationError(ValueError):
     """A state or operator failed a structural check."""
-
-
-class _SplitBase(NamedTuple):
-    dim_a: int
-    dim_b: int
-
-
-class BipartiteSplit(_SplitBase):
-    """Factorization of a Hilbert space into a left and a right factor."""
-
-    def __new__(cls, dim_a: int, dim_b: int):
-        if int(dim_a) < 1 or int(dim_b) < 1:
-            raise ValidationError(
-                f"factor dimensions must be positive, got {dim_a}x{dim_b}")
-        return super().__new__(cls, int(dim_a), int(dim_b))
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
@@ -85,6 +66,18 @@ def _check_spectrum(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _factor_dims(split) -> tuple[int, int]:
+    """The two factor dimensions of a split: integers, numpy's included, and
+    both positive; 2.5 is refused, not truncated."""
+    try:
+        dim_a, dim_b = (operator.index(dim) for dim in split)
+    except (TypeError, ValueError):   # not integers, or not two of them
+        raise ValidationError(f"factor dimensions must be two integers, got {split!r}") from None
+    if dim_a < 1 or dim_b < 1:
+        raise ValidationError(f"factor dimensions must be positive, got {dim_a}x{dim_b}")
+    return dim_a, dim_b
+
+
 def partial_trace(rho, split, keep: int) -> np.ndarray:
     """Reduced state on one factor of a bipartite split.
 
@@ -92,15 +85,15 @@ def partial_trace(rho, split, keep: int) -> np.ndarray:
     ----------
     rho : array_like
         Density matrix on the product space, or a stack (..., d, d) of them.
-    split : BipartiteSplit or (int, int)
+    split : (int, int)
         Dimensions of the two factors; their product must match rho.
     keep : int
         0 keeps the left factor, 1 keeps the right one.
     """
     rho = np.asarray(rho, dtype=complex)
     _require_square(rho)
-    dim_a, dim_b = int(split[0]), int(split[1])
-    if dim_a < 1 or dim_b < 1 or rho.shape[-1] != dim_a * dim_b:
+    dim_a, dim_b = _factor_dims(split)
+    if rho.shape[-1] != dim_a * dim_b:
         raise ValidationError(
             f"split {dim_a}x{dim_b} does not factor dimension {rho.shape[-1]}")
     blocks = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
@@ -167,7 +160,8 @@ def validate_pure(psi) -> np.ndarray:
     if psi.ndim != 1 or psi.size == 0:
         raise ValidationError(
             f"amplitude vector must be 1-d and nonempty, got shape {psi.shape}")
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
+    with np.errstate(over="ignore"):   # a huge entry gives inf, refused below
+        norm_sq = float(np.sum(np.abs(psi) ** 2))
     if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
         raise ValidationError(
             f"state norm^2 = {norm_sq!r} deviates from 1 beyond {DEFAULT_TOL:.1e}")

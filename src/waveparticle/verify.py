@@ -15,8 +15,6 @@ import numpy as np
 from . import measures, sampling
 from .channels import ReferenceObservable, dephase
 from .experiments import (
-    MziConfig,
-    WernerInput,
     balanced_path_state,
     dce_analyze,
     measurement_model,
@@ -103,7 +101,7 @@ def _wave_detector_grid():
     xs = np.linspace(0.0, 1.0, 10)
     for a in np.linspace(0.0, 1.0, 10):
         amps = _qubit_pair(a)
-        yield xs, abs(amps[0] * amps[1]), wave_detector_run(WernerInput(xs, amps)).scalars
+        yield xs, abs(amps[0] * amps[1]), wave_detector_run(xs, amps).scalars
 
 
 def check_balanced_state_wavelike() -> CheckResult:
@@ -118,7 +116,7 @@ def check_balanced_state_wavelike() -> CheckResult:
 
 def check_recombined_state_entropy() -> CheckResult:
     phis = np.linspace(0.0, 2.0 * np.pi, 24)
-    report = mzi_run(MziConfig(phi=phis, bs2="present"))
+    report = mzi_run(phis, bs2="present")
     x = np.cos(phis / 2.0) ** 2
     expected = _shannon_rows(np.column_stack([x, 1.0 - x]))
     residual = float(np.max(np.abs(report.scalars["wavelike_q1"] - expected)))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from waveparticle.channels import (
     ImpossibleOutcomeError,
-    InformerModel,
     ReferenceObservable,
     dephase,
     measure_select,
@@ -18,7 +17,6 @@ from waveparticle.channels import (
 )
 from waveparticle.measures import duality
 from waveparticle.states import (
-    BipartiteSplit,
     ValidationError,
     basis_state,
     partial_trace,
@@ -253,11 +251,11 @@ NOT_DENSITY = [
 def test_selection_certifies_the_state(rho, defect, detail):
     obs = ReferenceObservable.computational(2)
     for select in (lambda: measure_select(rho, obs, 0),
-                   lambda: measure_select_joint(rho, BipartiteSplit(2, 1), obs, 0)):
+                   lambda: measure_select_joint(rho, (2, 1), obs, 0)):
         with pytest.raises(ValidationError, match=re.escape(defect + detail)):
             select()
     with pytest.raises(ValidationError, match=re.escape(defect)):
-        measure_select_joint(np.kron(rho, np.eye(2) / 2), BipartiteSplit(2, 2), obs, 0)
+        measure_select_joint(np.kron(rho, np.eye(2) / 2), (2, 2), obs, 0)
 
 
 def test_selection_checks_the_outcome_before_the_state():
@@ -266,19 +264,25 @@ def test_selection_checks_the_outcome_before_the_state():
 
 
 class TestMeasureSelectJoint:
+    def test_refuses_a_non_integer_factor(self):
+        # int() would read 2.7 as 2 and give p = 0.5 for the maximally mixed state
+        with pytest.raises(ValidationError, match=re.escape(
+                "factor dimensions must be two integers, got (2.7, 2)")):
+            measure_select_joint(np.eye(4) / 4, (2.7, 2), ReferenceObservable.computational(2), 0)
+
     def test_bell_state_click(self):
         bell = (np.kron(basis_state(2, 0), basis_state(2, 0))
                 + np.kron(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
         obs = ReferenceObservable.computational(2)
         conditional, p = measure_select_joint(
-            projector(bell), BipartiteSplit(2, 2), obs, 1)
+            projector(bell), (2, 2), obs, 1)
         assert p == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(conditional, projector(basis_state(2, 1)), atol=1e-12)
 
     def test_click_probabilities_sum_to_one(self):
         rho = random_density(6)
         obs = ReferenceObservable.computational(2)
-        total = sum(measure_select_joint(rho, BipartiteSplit(2, 3), obs, k)[1]
+        total = sum(measure_select_joint(rho, (2, 3), obs, k)[1]
                     for k in range(2))
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -294,7 +298,7 @@ class TestMeasureSelectJoint:
         mixed = np.kron(bs, np.eye(4, dtype=complex)) @ after_couple
         obs = ReferenceObservable.computational(2)
         conditional, p = measure_select_joint(
-            projector(mixed), BipartiteSplit(2, 4), obs, 0)
+            projector(mixed), (2, 4), obs, 0)
         assert p == pytest.approx(0.5, abs=1e-12)
         expected = np.zeros(4, dtype=complex)
         expected[2] = a
@@ -308,32 +312,32 @@ class TestPurification:
         rho = random_density(4)
         w, v = np.linalg.eigh(rho)
         psi = (v * np.sqrt(w)).reshape(-1)
-        recovered = partial_trace(projector(psi), BipartiteSplit(4, 4), keep=0)
+        recovered = partial_trace(projector(psi), (4, 4), keep=0)
         np.testing.assert_allclose(recovered, rho, atol=1e-12)
 
     def test_pure_input_needs_no_ancilla(self):
         vec = np.array([0.6, 0.8j], dtype=complex)
         rho = projector(vec)
-        np.testing.assert_array_equal(partial_trace(rho, BipartiteSplit(2, 1), keep=0), rho)
-        np.testing.assert_allclose(partial_trace(rho, BipartiteSplit(2, 1), keep=1),
+        np.testing.assert_array_equal(partial_trace(rho, (2, 1), keep=0), rho)
+        np.testing.assert_allclose(partial_trace(rho, (2, 1), keep=1),
                                    [[1.0]], atol=1e-15)
 
 
 class TestInformer:
     def test_unit_overlap_keeps_purity(self):
         c = np.array([0.6, 0.8], dtype=complex)
-        rho = reduced_from_informer(InformerModel(c, np.ones((2, 2))))
+        rho = reduced_from_informer(c, np.ones((2, 2)))
         np.testing.assert_allclose(rho, projector(c), atol=1e-12)
 
     def test_zero_overlap_dephases(self):
         c = np.array([0.6, 0.8], dtype=complex)
-        rho = reduced_from_informer(InformerModel(c, np.eye(2)))
+        rho = reduced_from_informer(c, np.eye(2))
         np.testing.assert_allclose(rho, np.diag([0.36, 0.64]), atol=1e-12)
 
     def test_partial_overlap_scales_coherence(self):
         c = np.array([0.6, 0.8], dtype=complex)
         gram = np.array([[1.0, 0.5], [0.5, 1.0]])
-        rho = reduced_from_informer(InformerModel(c, gram))
+        rho = reduced_from_informer(c, gram)
         assert rho[0, 1] == pytest.approx(0.6 * 0.8 * 0.5, abs=1e-12)
 
     def test_matches_explicit_informer_vectors(self):
@@ -343,16 +347,16 @@ class TestInformer:
         i1 = np.array([eta, np.sqrt(1 - eta ** 2)], dtype=complex)
         c = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
         joint = np.kron(basis_state(2, 0), i0) * c[0] + np.kron(basis_state(2, 1), i1) * c[1]
-        expected = partial_trace(projector(joint), BipartiteSplit(2, 2), keep=0)
+        expected = partial_trace(projector(joint), (2, 2), keep=0)
         gram = np.array([[1.0, eta], [eta, 1.0]])
-        rho = reduced_from_informer(InformerModel(c, gram))
+        rho = reduced_from_informer(c, gram)
         np.testing.assert_allclose(rho, expected, atol=1e-12)
 
     def test_rejects_bad_gram(self):
         c = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValidationError, match="Hermitian"):
-            InformerModel(c, np.array([[1.0, 0.5], [0.2, 1.0]]))
+            reduced_from_informer(c, np.array([[1.0, 0.5], [0.2, 1.0]]))
         with pytest.raises(ValidationError, match="diagonal"):
-            InformerModel(c, np.array([[0.9, 0.0], [0.0, 1.0]]))
+            reduced_from_informer(c, np.array([[0.9, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValidationError, match="semidefinite"):
-            InformerModel(c, np.array([[1.0, 2.0], [2.0, 1.0]]))
+            reduced_from_informer(c, np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -123,6 +123,11 @@ class TestMeasures:
                   "smallest 1.010e-01 (tolerance 1.0e-09)"),
         ("negative", "state is not a density matrix: eigenvalues sum to 0.9999999999999999, "
                      "smallest -1.000e-06 (tolerance 1.0e-09)"),
+        # the same two defects with the spectrum written on the diagonal
+        ("trace-diagonal", "state is not a density matrix: eigenvalues sum to 1.01, "
+                           "smallest 1.100e-01 (tolerance 1.0e-09)"),
+        ("negative-diagonal", "state is not a density matrix: eigenvalues sum to "
+                              "0.9999999999999999, smallest -1.000e-06 (tolerance 1.0e-09)"),
     ])
     def test_defective_two_qubit_matrix_rejected(self, capsys, tmp_path, defect, message):
         u, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))
@@ -132,6 +137,10 @@ class TestMeasures:
             m[0, 1] += 1e-3
         elif defect == "trace":
             m *= 1.01
+        elif defect == "trace-diagonal":
+            m = np.diag([0.4, 0.3, 0.2, 0.11]).astype(complex)
+        elif defect == "negative-diagonal":
+            m = np.diag([-1e-6, 1.000001, 0.0, 0.0]).astype(complex)
         path = write_state(tmp_path, "bad22.json", dims=[2, 2], matrix=io.encode_matrix(m))
         code, out, err = run_cli(capsys, "measures", path)
         assert (code, out) == (2, "")
@@ -208,20 +217,32 @@ class TestMeasures:
         assert (code, out) == (2, "")
         assert "finite" in err
 
-    @pytest.mark.parametrize("text,message", [
-        ('{"dims": [2], "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+    @pytest.mark.parametrize("text,basis,message", [
+        ('{"dims": [2], "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]}', None,
          "field 'matrix': entry [0, 0] has modulus above 2; no entry of a state exceeds 1"),
-        ('{"dims": [2], "matrix": [[[0.5, 0], [-1e308, 0]], [[1e308, 0], [0.5, 0]]]}',
+        ('{"dims": [2], "matrix": [[[0.5, 0], [-1e308, 0]], [[1e308, 0], [0.5, 0]]]}', None,
          "field 'matrix': entry [0, 1] has modulus above 2; no entry of a state exceeds 1"),
-        ('{"dims": [2], "amplitudes": [[-1e308, 0], [0, 0]]}',
+        ('{"dims": [2], "amplitudes": [[-1e308, 0], [0, 0]]}', None,
          "field 'amplitudes': entry [0] has modulus above 2; no entry of a state exceeds 1"),
-    ], ids=["diagonal-1e308", "off-diagonal-1e308", "amplitude-minus-1e308"])
-    def test_huge_state_entry_rejected_without_overflow(self, capsys, tmp_path, text, message):
-        bad = tmp_path / "huge.json"
+        # null and true decode to numbers in one array conversion; the type check names them
+        ('{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[null, 0], [0, 0]]]}', None,
+         "field 'matrix': expected a [re, im] pair, got [None, 0]"),
+        ('{"dims": [2], "amplitudes": [[1, 0], [0, 0]]}',
+         '{"dim": 2, "basis": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+         "field 'basis': expected a [re, im] pair, got [True, 0]"),
+    ], ids=["diagonal-1e308", "off-diagonal-1e308", "amplitude-minus-1e308",
+            "null-pair", "true-pair-in-basis"])
+    def test_malformed_entry_rejected_without_warnings(self, capsys, tmp_path, text, basis,
+                                                       message):
+        bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
+        argv = ["measures", str(bad)]
+        if basis is not None:
+            (tmp_path / "basis.json").write_text(basis, encoding="utf-8")
+            argv += ["--basis", str(tmp_path / "basis.json")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "measures", str(bad))
+            code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 

@@ -9,8 +9,6 @@ from waveparticle import nonlocality, states
 from waveparticle.channels import ImpossibleOutcomeError, ReferenceObservable, measure_select_joint
 from waveparticle.experiments import (
     BEAM_SPLITTER,
-    MziConfig,
-    WernerInput,
     balanced_path_state,
     dce_analyze,
     measurement_model,
@@ -21,7 +19,6 @@ from waveparticle.experiments import (
 )
 from waveparticle.measures import duality, tsallis_entropy
 from waveparticle.states import (
-    BipartiteSplit,
     ValidationError,
     basis_state,
     hermitian_part,
@@ -60,14 +57,15 @@ def count_solves(monkeypatch):
     return solves
 
 
-def reference_wave_detector(werner):
+def reference_wave_detector(x, amps):
     """wave_detector_run built as the 8x8 circuit: the register |00><00|
     joined by np.kron, the path-controlled flips and the beam splitter as
     sandwiches, and each click measured on its own."""
     couple = (np.kron(projector(basis_state(2, 0)), np.kron(FLIP, EYE2))
               + np.kron(projector(basis_state(2, 1)), np.kron(EYE2, FLIP)))
     mix = np.kron(BEAM_SPLITTER, np.eye(4, dtype=complex))
-    rho_q = werner.density()
+    x = np.asarray(x)[..., None, None]
+    rho_q = (1.0 - x) * EYE2 / 2.0 + x * projector(amps)
     evolved = couple @ np.kron(rho_q, projector(ket01(0, 0))) @ couple.conj().T
     evolved = mix @ evolved @ mix.conj().T
     obs = ReferenceObservable(EYE2)
@@ -75,7 +73,7 @@ def reference_wave_detector(werner):
     wavelike_q2 = split["wavelike"][1]
     scalars, matrices, residuals = {}, {}, []
     for k in (0, 1):
-        conditional, p = measure_select_joint(evolved, BipartiteSplit(2, 4), obs, k)
+        conditional, p = measure_select_joint(evolved, (2, 4), obs, k)
         b_max, n_l, c = nonlocality._two_qubit_measures(*states._certified_spectrum(
             conditional, name="two-qubit state", vectors=True))
         scalars.update({f"p_click_{k}": p, f"chsh_max_click_{k}": b_max,
@@ -101,7 +99,7 @@ def reference_dce(alpha, phi):
     inside = np.kron(phase_shifter(phi % (2 * np.pi)) @ BEAM_SPLITTER, EYE2)
     joint = (controlled @ (inside @ start[:, None]))[:, 0]
     rho_joint = projector(joint)
-    rho_q = partial_trace(rho_joint, BipartiteSplit(2, 2), keep=0)
+    rho_q = partial_trace(rho_joint, (2, 2), keep=0)
     split = duality(rho_q, ReferenceObservable(EYE2), (1.0, 2.0))
     scalars = {"p_detector_0": rho_q[0, 0].real, "p_detector_1": rho_q[1, 1].real}
     for i in (0, 1):
@@ -135,27 +133,32 @@ class TestConventions:
         assert abs(np.vdot(w, p)) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestMziConfig:
-    def test_phase_reduced_mod_two_pi(self):
-        assert MziConfig(phi=2 * np.pi).phi == 0.0
-        assert MziConfig(phi=-np.pi / 2).phi == pytest.approx(3 * np.pi / 2)
+class TestMzi:
+    @pytest.mark.parametrize("bs2", ["present", "absent"])
+    def test_phase_reduced_mod_two_pi(self, bs2):
+        # a whole turn gives the bits of zero; a negative phase, its residue's values
+        turn, zero = mzi_run(2 * np.pi, bs2), mzi_run(0.0, bs2)
+        for key, value in zero.scalars.items():
+            assert_same_bits(turn.scalars[key], value, key)
+        for key, state in zero.states.items():
+            assert_same_bits(turn.states[key].matrix, state.matrix, key)
+        negative, residue = mzi_run(-np.pi / 2, bs2), mzi_run(3 * np.pi / 2, bs2)
+        for key, value in residue.scalars.items():
+            assert negative.scalars[key] == pytest.approx(value, abs=1e-12), key
 
     def test_rejects_unknown_mode(self):
         for mode in ("sideways", "superposed"):
             with pytest.raises(ValidationError, match=f"unknown bs2 mode '{mode}'"):
-                MziConfig(phi=0.0, bs2=mode)
+                mzi_run(0.0, bs2=mode)
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_phase(self, phi):
         with pytest.raises(ValidationError, match="not finite"):
-            MziConfig(phi=phi)
+            mzi_run(phi)
 
-
-
-class TestMzi:
     def test_present_detector_statistics(self):
         for phi in PHI_GRID:
-            report = mzi_run(MziConfig(phi=phi, bs2="present"))
+            report = mzi_run(phi, bs2="present")
             assert report.scalars["p_detector_0"] == pytest.approx(
                 np.sin(phi / 2) ** 2, abs=1e-12)
             assert report.scalars["p_detector_1"] == pytest.approx(
@@ -163,18 +166,18 @@ class TestMzi:
 
     def test_absent_statistics_are_random(self):
         for phi in (0.0, 1.0, np.pi):
-            report = mzi_run(MziConfig(phi=phi, bs2="absent"))
+            report = mzi_run(phi, bs2="absent")
             assert report.scalars["p_detector_0"] == pytest.approx(0.5, abs=1e-12)
             assert report.scalars["wavelike_q1"] == pytest.approx(np.log(2), abs=1e-12)
 
     def test_mid_state_always_wavelike(self):
         for phi in PHI_GRID:
-            report = mzi_run(MziConfig(phi=phi, bs2="present"))
+            report = mzi_run(phi, bs2="present")
             assert report.scalars["wavelike_mid_q1"] == pytest.approx(
                 np.log(2), abs=1e-12)
 
     def test_probabilities_complete(self):
-        report = mzi_run(MziConfig(phi=0.37, bs2="present"))
+        report = mzi_run(0.37, bs2="present")
         total = report.scalars["p_detector_0"] + report.scalars["p_detector_1"]
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -182,12 +185,12 @@ class TestMzi:
     @pytest.mark.parametrize("bs2", ["present", "absent"])
     def test_both_states_certified_in_one_solve(self, monkeypatch, phi, bs2):
         solves = count_solves(monkeypatch)
-        mzi_run(MziConfig(phi=phi, bs2=bs2))
+        mzi_run(phi, bs2)
         assert solves == [("eigvalsh", (2, *np.shape(phi), 2, 2))]
 
     @pytest.mark.parametrize("bs2", ["present", "absent"])
     def test_each_state_keeps_the_bits_it_gets_alone(self, bs2):
-        report = mzi_run(MziConfig(phi=PHI_GRID, bs2=bs2))
+        report = mzi_run(PHI_GRID, bs2)
         obs = ReferenceObservable.computational(2)
         pre = duality(report.states["pre_detector"].matrix, obs, (1.0, 2.0))
         mid = duality(report.states["mid"].matrix, obs, (1.0, 2.0))
@@ -197,7 +200,7 @@ class TestMzi:
             assert_same_bits(report.scalars[f"wavelike_mid_q{i + 1}"], mid["wavelike"][i], i)
 
     def test_report_shape(self):
-        report = mzi_run(MziConfig(phi=1.0))
+        report = mzi_run(1.0)
         assert report.name == "mzi"
         assert set(report.states) == {"mid", "pre_detector"}
         assert report.states["mid"].dims == (2,)
@@ -226,7 +229,7 @@ class TestDelayedChoice:
         for alpha, phi in ((0.3, 0.9), (1.1, 4.0), (np.pi / 4, 0.0)):
             literal = (np.cos(alpha) * np.kron(balanced_path_state(phi), basis_state(2, 0))
                        + np.sin(alpha) * np.kron(recombined_state(phi), basis_state(2, 1)))
-            expected = partial_trace(projector(literal), BipartiteSplit(2, 2), keep=0)
+            expected = partial_trace(projector(literal), (2, 2), keep=0)
             report = dce_analyze(alpha, phi)
             np.testing.assert_allclose(report.states["quanton"].matrix, expected,
                                        atol=1e-12)
@@ -322,40 +325,40 @@ class TestDelayedChoice:
                                    atol=1e-12)
 
 
-class TestWernerInput:
-    def test_density(self):
+class TestWaveDetector:
+    def test_input_density(self):
         amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        rho = WernerInput(0.5, amps).density()
+        rho = wave_detector_run(0.5, amps).states["input"].matrix
         np.testing.assert_allclose(rho, 0.25 * np.eye(2) + 0.5 * projector(amps),
                                    atol=1e-12)
 
     def test_validation(self):
         amps = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(ValidationError):
-            WernerInput(1.5, amps)
-        with pytest.raises(ValidationError):
-            WernerInput(0.5, np.array([1.0, 1.0], dtype=complex))
-        with pytest.raises(ValidationError):
-            WernerInput(0.5, np.array([1.0, 0, 0], dtype=complex))
+        with pytest.raises(ValidationError, match=r"^mixing weight x = 1\.5 outside \[0, 1\]$"):
+            wave_detector_run(1.5, amps)
+        with pytest.raises(ValidationError, match="deviates from 1"):
+            wave_detector_run(0.5, np.array([1.0, 1.0], dtype=complex))
+        with pytest.raises(ValidationError, match=re.escape("state norm^2 = inf deviates")):
+            wave_detector_run(0.5, np.array([1e200, 0.0]))
+        with pytest.raises(ValidationError, match="^amplitudes must describe a single qubit$"):
+            wave_detector_run(0.5, np.array([1.0, 0, 0], dtype=complex))
 
-
-class TestWaveDetector:
     def test_maximal_activation(self):
         amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        s = wave_detector_run(WernerInput(1.0, amps)).scalars
+        s = wave_detector_run(1.0, amps).scalars
         assert s["nonlocality_click_0"] == pytest.approx(1.0, abs=1e-12)
         assert s["concurrence_click_0"] == pytest.approx(1.0, abs=1e-12)
         assert s["chsh_max_click_0"] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
     def test_definite_path_produces_nothing(self):
-        s = wave_detector_run(WernerInput(1.0, np.array([1.0, 0.0]))).scalars
+        s = wave_detector_run(1.0, np.array([1.0, 0.0])).scalars
         assert s["nonlocality_click_0"] == pytest.approx(0.0, abs=1e-12)
         assert s["concurrence_click_0"] == pytest.approx(0.0, abs=1e-12)
         assert s["wavelike_q2"] == 0.0
 
     def test_half_mixed_reference_point(self):
         amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        s = wave_detector_run(WernerInput(0.5, amps)).scalars
+        s = wave_detector_run(0.5, amps).scalars
         assert s["nonlocality_click_0"] == pytest.approx(0.25, abs=1e-12)
         assert s["concurrence_click_0"] == pytest.approx(0.5, abs=1e-12)
         assert s["wavelike_q2"] == pytest.approx(0.125, abs=1e-12)
@@ -364,7 +367,7 @@ class TestWaveDetector:
         # mixture of the register ghosts |10>, |01> and the coherent branch
         for x, a, k in ((0.7, 0.3, 0), (0.7, 0.3, 1), (0.4, 0.9, 0), (1.0, 0.6, 1)):
             b = np.sqrt(1 - a * a)
-            report = wave_detector_run(WernerInput(x, np.array([a, b])))
+            report = wave_detector_run(x, np.array([a, b]))
             branch = a * ket01(1, 0) + (-1) ** k * 1j * b * ket01(0, 1)
             expected = ((1 - x) / 2 * (projector(ket01(1, 0)) + projector(ket01(0, 1)))
                         + x * projector(branch))
@@ -374,13 +377,13 @@ class TestWaveDetector:
     def test_click_probabilities_always_half(self):
         for x, a in ((0.0, 0.2), (0.5, 0.9), (1.0, 0.5)):
             amps = np.array([a, np.sqrt(1 - a * a)], dtype=complex)
-            s = wave_detector_run(WernerInput(x, amps)).scalars
+            s = wave_detector_run(x, amps).scalars
             assert s["p_click_0"] == pytest.approx(0.5, abs=1e-10)
             assert s["p_click_1"] == pytest.approx(0.5, abs=1e-10)
 
     def test_click_symmetry(self):
         amps = np.array([0.6, 0.8j], dtype=complex)
-        s = wave_detector_run(WernerInput(0.8, amps)).scalars
+        s = wave_detector_run(0.8, amps).scalars
         assert abs(s["nonlocality_click_0"] - s["nonlocality_click_1"]) < 1e-12
         assert abs(s["concurrence_click_0"] - s["concurrence_click_1"]) < 1e-12
 
@@ -388,20 +391,20 @@ class TestWaveDetector:
         for x in np.linspace(0.0, 1.0, 6):
             for a in np.linspace(0.1, 0.9, 5):
                 amps = np.array([a, np.sqrt(1 - a * a)], dtype=complex)
-                s = wave_detector_run(WernerInput(x, amps)).scalars
+                s = wave_detector_run(x, amps).scalars
                 assert s["nonlocality_click_0"] == pytest.approx(
                     s["concurrence_click_0"] ** 2, abs=1e-10)
 
     def test_activation_residual_reported(self):
         amps = np.array([0.6, 0.8], dtype=complex)
-        s = wave_detector_run(WernerInput(0.9, amps)).scalars
+        s = wave_detector_run(0.9, amps).scalars
         assert s["nonlocality_activation_residual"] < 1e-10
 
     def test_each_state_checked_for_hermiticity_once(self, monkeypatch):
         # the input's split, then one certified spectrum of both clicks feeds
         # the CHSH values and the concurrences
-        werner = WernerInput(np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8], dtype=complex))
-        expected = wave_detector_run(werner).scalars
+        x, amps = np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8], dtype=complex)
+        expected = wave_detector_run(x, amps).scalars
         calls = []
 
         def counting(m, **kwargs):
@@ -410,16 +413,16 @@ class TestWaveDetector:
 
         for module in (states, nonlocality):
             monkeypatch.setattr(module, "hermitian_part", counting)
-        scalars = wave_detector_run(werner).scalars
+        scalars = wave_detector_run(x, amps).scalars
         assert calls == ["state", "two-qubit state"]
         for key, value in expected.items():
             assert np.array_equal(scalars[key], value), key
 
     @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 7), 0.3], ids=["grid", "float"])
     def test_kraus_clicks_reproduce_the_register_circuit(self, x):
-        werner = WernerInput(x, np.array([0.36 + 0.48j, 0.8j]))
-        report = wave_detector_run(werner)
-        expected_scalars, expected_states = reference_wave_detector(werner)
+        amps = np.array([0.36 + 0.48j, 0.8j])
+        report = wave_detector_run(x, amps)
+        expected_scalars, expected_states = reference_wave_detector(x, amps)
         assert list(report.scalars) == list(expected_scalars)
         for key, value in expected_scalars.items():
             assert_same_bits(report.scalars[key], value, key)
@@ -429,7 +432,6 @@ class TestWaveDetector:
     def test_one_spectral_pass_over_both_clicks(self, monkeypatch):
         # eigvalsh: the input's split and the CHSH tensors of both clicks; eigh
         # and svd: both clicks' spectra and concurrences; no Kronecker product
-        werner = WernerInput(np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8j]))
         calls = []
 
         def counting(name, function):
@@ -441,14 +443,14 @@ class TestWaveDetector:
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np, "kron", counting("kron", np.kron))
-        wave_detector_run(werner)
+        wave_detector_run(np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8j]))
         assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh", "svd"]
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_statistics_hold_everywhere(self, x, a):
         amps = np.array([a, np.sqrt(max(0.0, 1 - a * a))], dtype=complex)
-        s = wave_detector_run(WernerInput(x, amps)).scalars
+        s = wave_detector_run(x, amps).scalars
         assert s["p_click_0"] == pytest.approx(0.5, abs=1e-10)
         assert abs(s["nonlocality_click_0"] - s["nonlocality_click_1"]) < 1e-12
 
@@ -572,3 +574,6 @@ class TestMorphing:
             morphing_scan(np.array([0.6, 0.8]), 1.5)
         with pytest.raises(ValidationError):
             morphing_scan(np.array([1.0, 0.0, 0.0]), 0.5)
+        # |1e200|^2 overflows: a ValidationError, not a RuntimeWarning
+        with pytest.raises(ValidationError, match=re.escape("state norm^2 = inf deviates")):
+            morphing_scan(np.array([1e200, 0.0]), 0.5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveparticle import io
-from waveparticle.experiments import MziConfig, mzi_run
+from waveparticle.experiments import mzi_run
 from waveparticle.states import projector
 
 RNG = np.random.default_rng(505)
@@ -339,7 +339,7 @@ class TestObservableFiles:
 
 class TestReportPayload:
     def test_structure(self):
-        report = mzi_run(MziConfig(phi=0.25))
+        report = mzi_run(0.25)
         payload = io.report_payload(report)
         assert payload["experiment"] == "mzi"
         assert "p_detector_0" in payload["scalars"]
@@ -349,7 +349,7 @@ class TestReportPayload:
         assert parsed["experiment"] == "mzi"
 
     def test_scalars_are_plain_floats(self):
-        payload = io.report_payload(mzi_run(MziConfig(phi=0.25)))
+        payload = io.report_payload(mzi_run(0.25))
         assert all(type(v) is float for v in payload["scalars"].values())
 
 

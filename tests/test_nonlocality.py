@@ -14,7 +14,6 @@ from waveparticle.nonlocality import (
     correlation_matrix,
 )
 from waveparticle.states import (
-    BipartiteSplit,
     ValidationError,
     basis_state,
     hermitian_part,
@@ -345,7 +344,7 @@ def test_concurrence_of_pure_states_matches_linear_entropy():
         psi /= np.linalg.norm(psi)
         rho = projector(psi)
         for keep in (0, 1):
-            reduced = partial_trace(rho, BipartiteSplit(2, 2), keep=keep)
+            reduced = partial_trace(rho, (2, 2), keep=keep)
             linear_entropy = 1.0 - float(np.sum(np.abs(reduced) ** 2))
             assert concurrence(rho) ** 2 == pytest.approx(2 * linear_entropy, abs=1e-9)
 

@@ -15,9 +15,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(waveparticle.__file__).resolve().parent
 LIBRARY_LAYERS = (states, channels, measures, nonlocality, experiments)
 PUBLIC_NAMES = {
-    "BEAM_SPLITTER", "BipartiteSplit", "CheckResult", "ExperimentReport",
-    "ImpossibleOutcomeError", "InformerModel", "MziConfig", "NATURAL_UNITS",
-    "ReferenceObservable", "ReportState", "ThermalContext", "ValidationError", "WernerInput",
+    "BEAM_SPLITTER", "CheckResult", "ExperimentReport", "ImpossibleOutcomeError",
+    "NATURAL_UNITS", "ReferenceObservable", "ReportState", "ThermalContext", "ValidationError",
     "balanced_path_state", "basis_state", "chsh_bruteforce", "chsh_nl", "concurrence",
     "correlation_matrix", "dce_analyze", "demon_work_gap", "dephase", "duality",
     "hermitian_part", "hs_norm_sq", "information", "max_entropy", "measure_select",
@@ -62,7 +61,7 @@ def test_library_layer_is_re_exported(module):
 
 def test_public_surface_is_the_imported_objects():
     # no module the imports bind, and no helper the derivation of __all__ imports
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 44
     assert len(waveparticle.__all__) == len(set(waveparticle.__all__))
     assert set(waveparticle.__all__) == PUBLIC_NAMES
     namespace = {}

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from waveparticle import cli, io, measures, nonlocality
 from waveparticle.channels import (
     ImpossibleOutcomeError,
-    InformerModel,
     ReferenceObservable,
     dephase,
     measure_select,
@@ -19,13 +18,7 @@ from waveparticle.channels import (
     populations,
     reduced_from_informer,
 )
-from waveparticle.experiments import (
-    MziConfig,
-    WernerInput,
-    morphing_scan,
-    mzi_run,
-    wave_detector_run,
-)
+from waveparticle.experiments import morphing_scan, mzi_run, wave_detector_run
 from waveparticle.nonlocality import (
     chsh_bruteforce,
     chsh_nl,
@@ -295,15 +288,15 @@ def test_grid_runs_match_single_point_runs(seed, size):
     # exact ends of the ranges as well as interior draws
     values = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size)])
     phis = np.concatenate([[0.0, np.pi], rng.uniform(-10.0, 10.0, size)])
-    wave = wave_detector_run(WernerInput(values, amps))
+    wave = wave_detector_run(values, amps)
     morph = morphing_scan(amps, values)
     for i, value in enumerate(values):
-        assert_report_member(wave, i, wave_detector_run(WernerInput(float(value), amps)))
+        assert_report_member(wave, i, wave_detector_run(float(value), amps))
         assert_report_member(morph, i, morphing_scan(amps, float(value)))
     for bs2 in ("present", "absent"):
-        grid = mzi_run(MziConfig(phi=phis, bs2=bs2))
+        grid = mzi_run(phis, bs2)
         for i, phi in enumerate(phis):
-            assert_report_member(grid, i, mzi_run(MziConfig(phi=float(phi), bs2=bs2)))
+            assert_report_member(grid, i, mzi_run(float(phi), bs2))
 
 
 def test_gram_stack_matches_per_member_loop():
@@ -311,9 +304,9 @@ def test_gram_stack_matches_per_member_loop():
     grams = np.ones((5, 2, 2), dtype=complex)
     grams[:, 0, 1] = etas * np.exp(0.3j)
     grams[:, 1, 0] = etas * np.exp(-0.3j)
-    stack = reduced_from_informer(InformerModel(AMPS, grams))
+    stack = reduced_from_informer(AMPS, grams)
     for i, gram in enumerate(grams):
-        assert_same_bits(stack[i], reduced_from_informer(InformerModel(AMPS, gram)))
+        assert_same_bits(stack[i], reduced_from_informer(AMPS, gram))
 
 
 def test_single_inputs_return_floats():
@@ -405,13 +398,13 @@ def test_gram_stack_names_bad_member():
     grams[1, 0, 1] = grams[1, 1, 0] = 1.5
     with pytest.raises(ValidationError, match=re.escape(
             "Gram matrix [1] is not positive semidefinite: eigenvalue -5.000e-01")):
-        InformerModel(AMPS, grams)
+        reduced_from_informer(AMPS, grams)
     grams[1] = np.diag([1.0, 0.5])
     with pytest.raises(ValidationError, match=re.escape("Gram diagonal [1] deviates from 1")):
-        InformerModel(AMPS, grams)
+        reduced_from_informer(AMPS, grams)
     with pytest.raises(ValidationError, match=re.escape(
             "Gram matrix shape (3, 3, 3) does not match 2 branches")):
-        InformerModel(AMPS, np.zeros((3, 3, 3)))
+        reduced_from_informer(AMPS, np.zeros((3, 3, 3)))
 
 
 def test_single_state_functions_reject_stacks():
@@ -424,7 +417,7 @@ def test_single_state_functions_reject_stacks():
 
 
 @pytest.mark.parametrize("make,message", [
-    (lambda grid: WernerInput(grid, AMPS), "mixing weight x = {} outside [0, 1]"),
+    (lambda grid: wave_detector_run(grid, AMPS), "mixing weight x = {} outside [0, 1]"),
     (lambda grid: morphing_scan(AMPS, grid), "overlap eta = {} outside [0, 1]"),
 ])
 @pytest.mark.parametrize("grid,first", [
@@ -458,11 +451,11 @@ def test_sweep_out_of_range_grid_exits_2_and_writes_nothing(capsys, tmp_path, na
 
 
 SWEEPS = [
-    pytest.param("wave-detector", "x", lambda value: wave_detector_run(WernerInput(value, AMPS)),
+    pytest.param("wave-detector", "x", lambda value: wave_detector_run(value, AMPS),
                  [], id="wave-detector"),
     pytest.param("morphing", "eta", lambda value: morphing_scan(AMPS, value), [], id="morphing"),
-    pytest.param("mzi", "phi", lambda value: mzi_run(MziConfig(phi=value)), [], id="mzi"),
-    pytest.param("mzi", "phi", lambda value: mzi_run(MziConfig(phi=value, bs2="absent")),
+    pytest.param("mzi", "phi", mzi_run, [], id="mzi"),
+    pytest.param("mzi", "phi", lambda value: mzi_run(value, "absent"),
                  ["--bs2", "absent"], id="mzi-absent"),
 ]
 

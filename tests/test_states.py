@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveparticle.states import (
-    BipartiteSplit,
     ValidationError,
     basis_state,
     hermitian_part,
@@ -42,17 +42,23 @@ def test_projector_is_rank_one():
 
 
 def test_split_validation():
-    split = BipartiteSplit(2, 3)
-    assert split.dim == 6
-    with pytest.raises(ValidationError):
-        BipartiteSplit(0, 3)
+    rho = np.eye(4) / 4
+    # numpy's integers are integers; 2.5 is refused, not truncated to 2
+    np.testing.assert_array_equal(partial_trace(rho, (np.int64(2), 2), 0), np.eye(2) / 2)
+    for split, message in (((0, 4), "factor dimensions must be positive, got 0x4"),
+                           ((4, -1), "factor dimensions must be positive, got 4x-1"),
+                           ((2.5, 2), "factor dimensions must be two integers, got (2.5, 2)"),
+                           ((2, 2, 1), "factor dimensions must be two integers, got (2, 2, 1)"),
+                           ((2, 3), "split 2x3 does not factor dimension 4")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            partial_trace(rho, split, 0)
 
 
 def test_partial_trace_of_product():
     rho_a = projector(random_vec(2))
     rho_b = projector(random_vec(3))
     joint = np.kron(rho_a, rho_b)
-    split = BipartiteSplit(2, 3)
+    split = (2, 3)
     np.testing.assert_allclose(partial_trace(joint, split, keep=0), rho_a, atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, split, keep=1), rho_b, atol=1e-12)
 
@@ -60,7 +66,7 @@ def test_partial_trace_of_product():
 def test_partial_trace_bell_state():
     bell = (np.kron(basis_state(2, 0), basis_state(2, 0))
             + np.kron(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
-    reduced = partial_trace(projector(bell), BipartiteSplit(2, 2), keep=0)
+    reduced = partial_trace(projector(bell), (2, 2), keep=0)
     np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
 
@@ -69,14 +75,14 @@ def test_partial_trace_preserves_trace():
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     for keep in (0, 1):
-        reduced = partial_trace(rho, BipartiteSplit(2, 3), keep=keep)
+        reduced = partial_trace(rho, (2, 3), keep=keep)
         np.testing.assert_allclose(np.trace(reduced), 1.0, atol=1e-12)
 
 
 def test_partial_trace_rejects_bad_axis():
     rho = np.eye(4) / 4
     with pytest.raises(ValueError):
-        partial_trace(rho, BipartiteSplit(2, 2), keep=2)
+        partial_trace(rho, (2, 2), keep=2)
 
 
 def test_hs_norm_sq():
@@ -114,6 +120,15 @@ def test_hermitian_part_name_is_keyword_only():
 def test_validate_pure_rejects_non_finite(value):
     with pytest.raises(ValidationError, match="norm"):
         validate_pure(np.array([value, 0.0]))
+
+
+def test_validate_pure_refuses_a_huge_entry_without_overflow():
+    # |1e200|^2 overflows to inf: refused by the norm check, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(
+                "state norm^2 = inf deviates from 1 beyond 1.0e-09")):
+            validate_pure([1e200, 0])
 
 
 def test_validate_density_accepts_valid():
@@ -194,7 +209,7 @@ def test_partial_trace_of_kron_operators():
     a = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
     b = RNG.standard_normal((3, 3))
     joint = np.kron(a, b)
-    split = BipartiteSplit(2, 3)
+    split = (2, 3)
     np.testing.assert_allclose(partial_trace(joint, split, keep=0), a * np.trace(b), atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, split, keep=1), b * np.trace(a), atol=1e-12)
 
@@ -216,6 +231,6 @@ def test_product_state_marginals(seed, da, db):
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
     joint = projector(np.kron(a, b))
-    split = BipartiteSplit(da, db)
+    split = (da, db)
     np.testing.assert_allclose(partial_trace(joint, split, 0), projector(a), atol=1e-10)
     np.testing.assert_allclose(partial_trace(joint, split, 1), projector(b), atol=1e-10)

@@ -32,8 +32,8 @@ def shift(amount):
 def test_checks_03_04_read_the_last_grid_point(monkeypatch, key, check, residual):
     wave_detector_run = verify.wave_detector_run
 
-    def mutated(werner):
-        report = wave_detector_run(werner)
+    def mutated(x, amplitudes):
+        report = wave_detector_run(x, amplitudes)
         report.scalars[key] = with_last(report.scalars[key], shift(1e-8))
         return report
 

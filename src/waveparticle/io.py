@@ -7,6 +7,12 @@ identical inputs give byte-identical output. A CSV file is written one float
 table at a time, each formatted by a vectorized kernel that gives
 FLOAT_FORMAT's exact bytes and hands the values outside its range (tiny,
 huge, subnormal or not finite) to FLOAT_FORMAT itself.
+
+State and basis files are read by orjson, and again by the standard json
+module whenever orjson refuses the text or its payload fails the decoders;
+a text nested more than 64 levels deep is read by json alone. json's
+grammar and messages remain the reference: an accepted file decodes to
+json's bits, and a refused one gets json's field and message.
 """
 
 from __future__ import annotations
@@ -173,6 +179,50 @@ def _parse_json(text: str, source: str) -> dict:
     return payload
 
 
+# orjson builds its Python objects recursively, and a text nested tens of
+# thousands of levels deep overflows the C stack: with an 8 MB stack, orjson
+# 3.8.3 segfaults on 60000 nested objects. A state or basis file nests 4 deep.
+_ORJSON_MAX_DEPTH = 64
+# every byte but the brackets, the quote and the backslash
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+
+
+def _shallow(text: str) -> bool:
+    """Whether the arrays and objects of a JSON text nest at most
+    _ORJSON_MAX_DEPTH deep, counting the brackets outside its strings. A
+    backslash or an unpaired quote leaves the strings unknown, and gives False."""
+    marks = text.encode("utf-8", "surrogatepass").translate(None, _NOT_STRUCTURE)
+    if b"\\" in marks or marks.count(b'"') % 2:
+        return False
+    steps = b"".join(marks.split(b'"')[::2]).translate(_DEPTH_STEPS)
+    return bool(np.frombuffer(steps, np.int8).cumsum().max(initial=0) <= _ORJSON_MAX_DEPTH)
+
+
+def _decoded(text: str, source: str, decode):
+    """decode(payload) of a file's JSON object, with json's result or error.
+
+    orjson's payload of a shallow text is kept when it is an object that
+    decode accepts; otherwise json reads the text and decode runs on that.
+    Where the two parsers differ, orjson refuses the text (NaN, Infinity,
+    numbers beyond the float range, lone surrogates) or reads an integer
+    beyond 64 bits as a float, which decode refuses: dims and dim must be
+    integers, and no entry of a state or basis is that large.
+    """
+    if _shallow(text):
+        import orjson   # deferred: it imports datetime, uuid and zoneinfo
+        try:
+            payload = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            payload = None
+        if isinstance(payload, dict):
+            try:
+                return decode(payload)
+            except StateFormatError:
+                pass
+    return decode(_parse_json(text, source))
+
+
 def _read_dims(payload, total: int) -> tuple[int, ...]:
     dims = payload.get("dims")
     if (not isinstance(dims, list) or not dims
@@ -204,8 +254,7 @@ class LoadedState(NamedTuple):
     amplitudes: np.ndarray | None
 
 
-def parse_state(text: str, source: str = "state") -> LoadedState:
-    payload = _parse_json(text, source)
+def _state(payload: dict) -> LoadedState:
     if "matrix" in payload and "amplitudes" in payload:
         raise StateFormatError("matrix", "give either matrix or amplitudes, not both")
     if "amplitudes" in payload:
@@ -229,16 +278,16 @@ def parse_state(text: str, source: str = "state") -> LoadedState:
     raise StateFormatError("matrix", "missing matrix or amplitudes")
 
 
+def parse_state(text: str, source: str = "state") -> LoadedState:
+    return _decoded(text, source, _state)
+
+
 def load_state(path: str) -> LoadedState:
     with open(path, encoding="utf-8") as fh:
         return parse_state(fh.read(), path)
 
 
-def parse_observable(text: str, source: str = "basis",
-                     state_dim: int | None = None) -> ReferenceObservable:
-    """The reference observable of a basis file; a state_dim given must equal
-    the file's dim, which is checked before anything of that size is built."""
-    payload = _parse_json(text, source)
+def _observable(payload: dict, state_dim: int | None) -> ReferenceObservable:
     dim = payload.get("dim")
     if not _is_positive_int(dim):
         raise StateFormatError("dim", "expected a positive integer")
@@ -255,6 +304,13 @@ def parse_observable(text: str, source: str = "basis",
         return ReferenceObservable(vectors.T)
     except ValueError as exc:
         raise StateFormatError("basis", str(exc)) from None
+
+
+def parse_observable(text: str, source: str = "basis",
+                     state_dim: int | None = None) -> ReferenceObservable:
+    """The reference observable of a basis file; a state_dim given must equal
+    the file's dim, which is checked before anything of that size is built."""
+    return _decoded(text, source, lambda payload: _observable(payload, state_dim))
 
 
 def load_observable(path: str, state_dim: int | None = None) -> ReferenceObservable:

@@ -95,13 +95,12 @@ def _qubit_pair(a: float) -> np.ndarray:
     return np.array([a, np.sqrt(max(0.0, 1.0 - a * a))], dtype=complex)
 
 
-def _wave_detector_grid():
+def _wave_detector_grid() -> list:
     """The 10x10 grid in (x, |alpha|) of checks 03 and 04: per |alpha|, the
     mixing weights, |alpha beta| and the scalars of wave_detector_run."""
     xs = np.linspace(0.0, 1.0, 10)
-    for a in np.linspace(0.0, 1.0, 10):
-        amps = _qubit_pair(a)
-        yield xs, abs(amps[0] * amps[1]), wave_detector_run(xs, amps).scalars
+    return [(xs, abs(amps[0] * amps[1]), wave_detector_run(xs, amps).scalars)
+            for amps in map(_qubit_pair, np.linspace(0.0, 1.0, 10))]
 
 
 def check_balanced_state_wavelike() -> CheckResult:
@@ -124,9 +123,9 @@ def check_recombined_state_entropy() -> CheckResult:
                        residual, 1e-12, "24 phases, output splitter present")
 
 
-def check_wave_detector_entanglement() -> CheckResult:
+def check_wave_detector_entanglement(grid: list | None = None) -> CheckResult:
     residual = 0.0
-    for xs, ab, scalars in _wave_detector_grid():
+    for xs, ab, scalars in grid or _wave_detector_grid():
         for k in (0, 1):
             residual = max(
                 residual,
@@ -139,9 +138,9 @@ def check_wave_detector_entanglement() -> CheckResult:
                        "10x10 grid in (x, |alpha|), both clicks")
 
 
-def check_werner_activation() -> CheckResult:
+def check_werner_activation(grid: list | None = None) -> CheckResult:
     residual = 0.0
-    for xs, ab, scalars in _wave_detector_grid():
+    for xs, ab, scalars in grid or _wave_detector_grid():
         iw2 = scalars["wavelike_q2"]
         residual = max(residual, float(np.max(np.abs(iw2 - 2.0 * xs * xs * ab * ab))))
         for k in (0, 1):
@@ -328,5 +327,12 @@ CHECKS: list[Callable[[], CheckResult]] = [
 ]
 
 
+# the checks that read _wave_detector_grid(), called alone, evaluate it
+# themselves; matched by name, so a wrapped check still gets the shared grid
+_GRID_CHECKS = ("check_wave_detector_entanglement", "check_werner_activation")
+
+
 def run_checks() -> list[CheckResult]:
-    return [check() for check in CHECKS]
+    """Every check in order; the grid checks share one evaluation of the grid."""
+    grid = _wave_detector_grid()
+    return [check(grid) if check.__name__ in _GRID_CHECKS else check() for check in CHECKS]

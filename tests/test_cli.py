@@ -656,6 +656,21 @@ def test_module_entry_point(tmp_path):
     assert json.loads(result.stdout)["experiment"] == "morphing"
 
 
+def test_orjson_imported_only_to_read_a_file(balanced_state):
+    # its import costs milliseconds, which a command reading no file never pays
+    code = "\n".join([
+        "import contextlib, io, sys, waveparticle.cli",
+        "def run(*argv):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert waveparticle.cli.main(list(argv)) == 0",
+        "run('experiment', 'mzi')",
+        "assert 'orjson' not in sys.modules, 'experiment imported orjson'",
+        "run('measures', sys.argv[1])",
+        "assert 'orjson' in sys.modules, 'measures read the file without orjson'",
+    ])
+    subprocess.run([sys.executable, "-c", code, balanced_state], check=True)
+
+
 def test_console_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["--help"])

@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
+import test_boundary_fuzz as fuzz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,6 +338,190 @@ class TestObservableFiles:
         path = tmp_path / "obs.json"
         path.write_text('{"dim": 2}', encoding="utf-8")
         assert io.load_observable(str(path)).dim == 2
+
+
+def outcome(parse, text):
+    """What parse makes of text: the result's bytes, or the error's type,
+    field and message."""
+    try:
+        result = parse(text)
+    except Exception as exc:
+        return type(exc), getattr(exc, "field", None), str(exc)
+    if isinstance(result, io.LoadedState):
+        amps = result.amplitudes
+        return result.dims, result.density.tobytes(), amps if amps is None else amps.tobytes()
+    return result.dim, result.columns.tobytes(), result._computational
+
+
+# json, the reference grammar, followed by the decoder parse_state or
+# parse_observable runs on the payload
+def json_state(text):
+    return io._state(io._parse_json(text, "state"))
+
+
+def json_basis(text):
+    return io._observable(io._parse_json(text, "basis"), None)
+
+
+def json_unused():
+    """Fail any call of _parse_json: the file must be read by orjson alone."""
+    return mock.patch.object(io, "_parse_json", side_effect=AssertionError("json read it"))
+
+
+LITERALS = {"repr": repr, "%.17e": "%.17e".__mod__, "%.25e": "%.25e".__mod__}
+
+
+def file_text(kind, values, literal) -> str:
+    """A state (kind amplitudes or matrix) or basis file of complex values,
+    each part written by literal, or as a JSON integer when it is an int."""
+    def number(x):
+        return str(x) if isinstance(x, int) else literal(x)
+
+    def pairs(row):
+        return "[%s]" % ", ".join("[%s, %s]" % (number(re), number(im)) for re, im in row)
+
+    if kind == "amplitudes":
+        body = pairs(values)
+    else:
+        body = "[%s]" % ", ".join(map(pairs, values))
+    head = '"dims": [%d]' % len(values) if kind != "basis" else '"dim": %d' % len(values)
+    return '{%s, "%s": %s}' % (head, kind, body)
+
+
+def valid_values(kind, dim, seed, integers):
+    """Random valid values of a file of this kind as (re, im) parts: a unit
+    vector, a density matrix or a unitary's columns; with integers, a basis
+    state, its projector or a permutation, written as integers."""
+    rng = np.random.default_rng(seed)
+    if integers:
+        perm = rng.permutation(dim)
+        if kind == "matrix":
+            return [[(int(j == k == perm[0]), 0) for j in range(dim)] for k in range(dim)]
+        vectors = [[(int(j == perm[k]), 0) for j in range(dim)] for k in range(dim)]
+        return vectors if kind == "basis" else vectors[0]
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "amplitudes":
+        values = g[0] / np.linalg.norm(g[0])
+    elif kind == "matrix":
+        values = g @ g.conj().T
+        values = values / np.trace(values).real
+    else:
+        values = np.linalg.qr(g)[0].T
+    return np.stack([values.real, values.imag], axis=-1).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["amplitudes", "matrix", "basis"]), dim=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 32 - 1), integers=st.booleans(),
+       literal=st.sampled_from(sorted(LITERALS)))
+def test_valid_files_read_by_orjson_have_json_bits(kind, dim, seed, integers, literal):
+    text = file_text(kind, valid_values(kind, dim, seed, integers), LITERALS[literal])
+    parse, reference = ((io.parse_observable, json_basis) if kind == "basis"
+                        else (io.parse_state, json_state))
+    with json_unused():
+        read = outcome(parse, text)
+    assert read == outcome(reference, text)
+    assert isinstance(read[1], bytes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), basis=st.booleans())
+def test_mutated_files_give_json_result_or_error(data, basis):
+    valid = fuzz.VALID_BASES[data.draw(st.sampled_from(sorted(fuzz.VALID_BASES)))] \
+        if basis else data.draw(st.sampled_from(fuzz.VALID_STATES))
+    text = data.draw(fuzz.mutated(valid) | fuzz.JSON_VALUES.map(json.dumps))
+    parse, reference = ((io.parse_observable, json_basis) if basis
+                        else (io.parse_state, json_state))
+    assert outcome(parse, text) == outcome(reference, text)
+
+
+# decimal texts where rounding is delicate: halfway points, the subnormal
+# range and its lower edge, and the largest finite double
+EDGE_LITERALS = [
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.0000000000000001110223024625156540423631668090820312",
+    "1.0000000000000001110223024625156540423631668090820313",
+    "9007199254740993.0", "0.1", "2.2250738585072011e-308", "2.2250738585072014e-308",
+    "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1e-400", "1.7976931348623157e308", "1.7976931348623158e308",
+]
+
+
+def assert_same_floats(literals):
+    text = "[%s]" % ", ".join(literals)
+    assert (np.array(orjson.loads(text), dtype=float).tobytes()
+            == np.array(json.loads(text), dtype=float).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+       st.sampled_from(sorted(LITERALS)))
+def test_orjson_reads_float_literals_as_json_does(values, literal):
+    assert_same_floats(map(LITERALS[literal], values))
+
+
+def test_orjson_reads_edge_literals_as_json_does():
+    assert_same_floats(EDGE_LITERALS)
+
+
+class TestTwoParsers:
+    STATE = '{"dims": [2], "amplitudes": [[0.6, 0], [0, 0.8]]%s}'
+
+    @pytest.mark.parametrize("unused", ["NaN", "-Infinity", "1e400", '"\\ud800"'])
+    def test_value_orjson_refuses_in_an_unused_field(self, unused):
+        text = self.STATE % (', "note": %s' % unused)
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+        read = outcome(io.parse_state, text)
+        assert read == outcome(json_state, text)
+        assert read == outcome(io.parse_state, self.STATE % "")
+
+    def test_integer_beyond_64_bits_keeps_json_message(self):
+        # orjson reads it as a float, which the dims check refuses; json's
+        # integer reaches the product check
+        text = '{"dims": [18446744073709551617], "amplitudes": [[0.6, 0], [0, 0.8]]}'
+        assert isinstance(orjson.loads(text)["dims"][0], float)
+        with pytest.raises(io.StateFormatError) as err:
+            io.parse_state(text)
+        assert str(err.value) == ("field 'dims': product 18446744073709551617 "
+                                  "does not match dimension 2")
+
+    def test_dimension_128_files_have_json_bits(self):
+        rng = np.random.default_rng(128)
+        g = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        rho = g @ g.conj().T
+        state = io.dumps({"dims": [2] * 7, "matrix": io.encode_matrix(rho / np.trace(rho))})
+        basis = io.dumps({"dim": 128, "basis": io.encode_matrix(np.linalg.qr(g)[0].T)})
+        with json_unused():
+            read_state, read_basis = (outcome(io.parse_state, state),
+                                      outcome(io.parse_observable, basis))
+        assert read_state == outcome(json_state, state)
+        assert read_basis == outcome(json_basis, basis)
+        assert isinstance(read_state[1], bytes) and isinstance(read_basis[1], bytes)
+
+    @pytest.mark.parametrize("depth", [1000, 1100, 100000])
+    def test_deep_unused_field_refused_by_json_alone(self, monkeypatch, depth):
+        # orjson 3.8.3 reads 1000 and 1100 levels and overflows the C stack on
+        # 100000; json refuses all three, and no text this deep reaches orjson
+        monkeypatch.setattr(orjson, "loads", mock.Mock(side_effect=AssertionError))
+        text = self.STATE % (', "note": %s%s' % ("[" * depth, "]" * depth))
+        with pytest.raises(io.StateFormatError) as err:
+            io.parse_state(text, "deep.json")
+        assert str(err.value) == "field 'json': deep.json: arrays or objects nested too deeply"
+
+    @pytest.mark.parametrize("text,shallow", [
+        ("[" * 64 + "]" * 64, True),
+        ("[" * 65 + "]" * 65, False),
+        ('{"a": [%s]}' % ", ".join(["[[]]"] * 100), True),
+        # brackets in strings do not count, either way
+        ('["%s"]' % ("[" * 100), True),
+        ('["%s", %s%s]' % ("]" * 100, "[" * 64, "]" * 64), False),
+        # escapes and unpaired quotes leave the strings unknown
+        ('{"a\\"b": 1}', False),
+        ('{"a": 1, "b}', False),
+    ], ids=["64", "65", "wide", "open-in-string", "close-in-string", "escape", "odd-quote"])
+    def test_depth_guard(self, text, shallow):
+        assert io._shallow(text) is shallow
 
 
 class TestReportPayload:

@@ -5,6 +5,8 @@ result, and the check must then fail: a check that dropped a member, or
 compared a result with itself, would still pass.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,18 @@ def test_checks_03_04_read_the_last_grid_point(monkeypatch, key, check, residual
     result = check()
     assert not result.passed
     assert result.residual == pytest.approx(residual, rel=1e-3)
+
+
+def test_run_checks_evaluates_the_wave_detector_grid_once(monkeypatch):
+    wave_detector_run = verify.wave_detector_run
+    calls = mock.Mock(side_effect=wave_detector_run)
+    monkeypatch.setattr(verify, "wave_detector_run", calls)
+    shared = verify.run_checks()
+    assert calls.call_count == 10
+    # called alone, each check evaluates the grid afresh, to the same result
+    alone = [verify.check_wave_detector_entanglement(), verify.check_werner_activation()]
+    assert calls.call_count == 30
+    assert shared[2:4] == alone
 
 
 @pytest.mark.parametrize("key", ["particlelike_q2", "entanglement_linear"])

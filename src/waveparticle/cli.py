@@ -68,8 +68,12 @@ def cmd_measures(args) -> int:
         obs = io.load_observable(args.basis, dim)
     q = 1.0 if args.q is None else measures._check_q(args.q)
     two_qubit = tuple(loaded.dims) == (2, 2)
-    # one spectrum of the state, shared by the split, CHSH and concurrence
-    rho, lam, vectors = _certified_spectrum(loaded.density, vectors=two_qubit)
+    # one spectrum of the state, shared by the split, CHSH and concurrence: a
+    # matrix file's comes from its repair, an amplitude file's is solved here
+    if loaded.spectrum is None:
+        rho, lam, vectors = _certified_spectrum(loaded.density, vectors=two_qubit)
+    else:
+        rho, (lam, vectors) = loaded.density, loaded.spectrum
     split = measures._duality(rho, lam, obs, q)
     residual = abs(split["wavelike"] + split["particlelike"] - measures.max_entropy(dim, q))
     payload = {

@@ -8,27 +8,31 @@ table at a time, each formatted by a vectorized kernel that gives
 FLOAT_FORMAT's exact bytes and hands the values outside its range (tiny,
 huge, subnormal or not finite) to FLOAT_FORMAT itself.
 
-State and basis files are read by orjson, and again by the standard json
-module whenever orjson refuses the text or its payload fails the decoders;
-a text nested more than 64 levels deep is read by json alone. json's
-grammar and messages remain the reference: an accepted file decodes to
-json's bits, and a refused one gets json's field and message.
+State and basis files are parsed by orjson, with the cyclic collector
+paused, and again by the standard json module whenever orjson refuses the
+text or its payload fails the decoders; a text nested more than 64 levels
+deep is read by json alone. json's grammar and messages remain the
+reference: an accepted file decodes to json's bits, and a refused one gets
+json's field and message. A matrix file's state keeps the spectrum its
+repair solved, so measures solves it once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import itertools
 import json
 import math
 import os
+import reprlib
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ReferenceObservable
 from .experiments import ExperimentReport
-from .states import projector, validate_density, validate_pure
+from .states import _repaired, projector, validate_pure
 
 
 class StateFormatError(ValueError):
@@ -103,12 +107,26 @@ def _is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+# A malformed entry is echoed in at most _ECHO_CHARS characters, ending in
+# "..." when cut. reprlib goes no deeper or further into it than those can
+# show, so an entry nested hundreds of levels deep costs no deep recursion.
+_ECHO_CHARS = 80
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = _ECHO.maxlist = _ECHO.maxdict = _ECHO.maxstring = _ECHO.maxlong = \
+    _ECHO.maxother = _ECHO_CHARS
+
+
+def _echo(entry) -> str:
+    text = _ECHO.repr(entry)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS - 3] + "..."
+
+
 def _decode_pair(entry, field: str) -> complex:
     # bool is an int subclass, but JSON true/false are not numbers
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
             or not (isinstance(entry[0], (int, float)) and isinstance(entry[1], (int, float)))
             or isinstance(entry[0], bool) or isinstance(entry[1], bool)):
-        raise StateFormatError(field, f"expected a [re, im] pair, got {entry!r}")
+        raise StateFormatError(field, f"expected a [re, im] pair, got {_echo(entry)}")
     try:
         return complex(entry[0], entry[1])
     except OverflowError:   # an integer literal beyond the float range
@@ -208,18 +226,30 @@ def _decoded(text: str, source: str, decode):
     numbers beyond the float range, lone surrogates) or reads an integer
     beyond 64 bits as a float, which decode refuses: dims and dim must be
     integers, and no entry of a state or basis is that large.
+
+    The cyclic collector is paused while orjson's payload lives: a d = 128
+    file is some 16000 small lists, enough allocations to set off full
+    collections that find no cycle. The payload is dropped before the
+    caller's setting is restored, so the allocation count falls back first.
     """
     if _shallow(text):
         import orjson   # deferred: it imports datetime, uuid and zoneinfo
+        collecting = gc.isenabled()
+        gc.disable()
         try:
-            payload = orjson.loads(text)
-        except orjson.JSONDecodeError:
-            payload = None
-        if isinstance(payload, dict):
             try:
-                return decode(payload)
-            except StateFormatError:
-                pass
+                payload = orjson.loads(text)
+            except orjson.JSONDecodeError:
+                payload = None
+            if isinstance(payload, dict):
+                try:
+                    return decode(payload)
+                except StateFormatError:
+                    pass
+        finally:
+            payload = None
+            if collecting:
+                gc.enable()
     return decode(_parse_json(text, source))
 
 
@@ -252,6 +282,9 @@ class LoadedState(NamedTuple):
     dims: tuple[int, ...]
     density: np.ndarray
     amplitudes: np.ndarray | None
+    # a matrix file's repair: the ascending spectrum of density and eigh's
+    # eigenvectors it was rebuilt from; None for an amplitude file
+    spectrum: tuple[np.ndarray, np.ndarray] | None
 
 
 def _state(payload: dict) -> LoadedState:
@@ -265,16 +298,16 @@ def _state(payload: dict) -> LoadedState:
             amps = validate_pure(amps)
         except ValueError as exc:
             raise StateFormatError("amplitudes", str(exc)) from None
-        return LoadedState(dims, projector(amps), amps)
+        return LoadedState(dims, projector(amps), amps, None)
     if "matrix" in payload:
         m = decode_matrix(payload["matrix"], "matrix")
         dims = _read_dims(payload, m.shape[0])
         _check_modulus(m, "matrix")
         try:
-            rho = validate_density(m)
+            rho, lam, v = _repaired(m)
         except ValueError as exc:
             raise StateFormatError("matrix", str(exc)) from None
-        return LoadedState(dims, rho, None)
+        return LoadedState(dims, rho, None, (lam, v))
     raise StateFormatError("matrix", "missing matrix or amplitudes")
 
 

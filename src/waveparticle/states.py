@@ -176,9 +176,17 @@ def validate_density(rho) -> np.ndarray:
     floating point dust without masking real violations. A stack (..., d, d)
     is certified member by member; the first failing one is named by its index.
     """
+    return _repaired(rho)[0]
+
+
+def _repaired(rho):
+    """validate_density's repaired matrix, with the spectrum it was rebuilt
+    from: the clipped eigenvalues over the rebuilt trace, still ascending, and
+    eigh's column eigenvectors, whose phases only forms like V f(w) V^H may use."""
     # V diag(w) V^H does not depend on the eigenvector phases, so none are fixed
     _, w, v = _certified_spectrum(rho, name="density matrix", vectors=True)
     w = np.clip(w, 0.0, 1.0)
     fixed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    fixed = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
-    return (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
+    trace = np.trace(fixed, axis1=-2, axis2=-1).real
+    fixed = fixed / trace[..., None, None]
+    return (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0, w / trace[..., None], v

@@ -74,27 +74,33 @@ class TestMeasures:
         assert payload["nonlocality"] == pytest.approx(1.0, abs=1e-10)
         assert payload["concurrence"] == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("kind,solves", [("amplitudes", 1), ("matrix", 2)])
-    def test_two_qubit_state_solved_once_per_certification(self, capsys, tmp_path,
-                                                           monkeypatch, kind, solves):
-        # amplitudes: the shared spectrum only; a matrix: the repair, then that spectrum
-        psi = np.array([0.6, 0.0, 0.0, 0.8j])
-        payload = ({"amplitudes": io.encode_vector(psi)} if kind == "amplitudes"
-                   else {"matrix": io.encode_matrix(np.outer(psi, psi.conj()))})
-        path = write_state(tmp_path, "two_qubit.json", dims=[2, 2], **payload)
+    @pytest.mark.parametrize("kind,dim", [("amplitudes", 4), ("matrix", 4), ("matrix", 128)])
+    def test_state_solved_once_per_measures_call(self, capsys, tmp_path, monkeypatch,
+                                                 kind, dim):
+        # an amplitude file: the shared spectrum only; a matrix file: its
+        # repair, whose spectrum the split (and at d = 4 CHSH and concurrence) reuse
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if kind == "amplitudes":
+            payload = {"amplitudes": io.encode_vector(g[0] / np.linalg.norm(g[0]))}
+        else:
+            rho = g @ g.conj().T
+            payload = {"matrix": io.encode_matrix(rho / np.trace(rho).real)}
+        dims = [2] * int(np.log2(dim))
+        path = write_state(tmp_path, "state.json", dims=dims, **payload)
         calls = []
         for name in ("eigh", "eigvalsh"):
             solver = getattr(np.linalg, name)
 
             def counted(m, *args, solver=solver, name=name, **kwargs):
-                if np.shape(m)[-2:] == (4, 4):
+                if np.shape(m)[-2:] == (dim, dim):
                     calls.append(name)
                 return solver(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         code, out, _ = run_cli(capsys, "measures", path)
-        assert code == 0 and "concurrence" in json.loads(out)
-        assert calls == ["eigh"] * solves
+        assert code == 0 and ("concurrence" in json.loads(out)) == (dim == 4)
+        assert calls == ["eigh"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("q", [None, "2", "0.5"])
@@ -282,6 +288,18 @@ class TestMeasures:
         code, out, err = run_cli(capsys, "measures", str(bad))
         assert (code, out) == (2, "")
         assert err == f"error: field 'json': {bad}: arrays or objects nested too deeply\n"
+
+    @pytest.mark.parametrize("entry,echo", [
+        ("[" * 900 + "0" + "]" * 900, "[" * 77 + "..."),
+        ("[%s]" % ", ".join(["0.5"] * 500), "[" + "0.5, " * 15 + "0..."),
+    ], ids=["900-deep", "500-numbers"])
+    def test_long_malformed_entry_echoed_in_one_short_line(self, capsys, tmp_path, entry,
+                                                           echo):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"dims": [2], "amplitudes": [%s, [0, 0]]}' % entry)
+        code, out, err = run_cli(capsys, "measures", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'amplitudes': expected a [re, im] pair, got {echo}\n"
 
     def test_deeply_nested_basis_rejected(self, capsys, tmp_path, balanced_state):
         bad = tmp_path / "deep_basis.json"

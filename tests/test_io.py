@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 from fractions import Fraction
 from unittest import mock
@@ -160,6 +162,41 @@ def test_rejection_message_is_pinned(field, value, message):
     with pytest.raises(io.StateFormatError) as err:
         parse_file(field, value)
     assert str(err.value) == f"field {field!r}: {message}"
+
+
+LONG_ENTRIES = {
+    # about 1800 and 2500 characters of repr, echoed whole before the cap; json
+    # reads 980 levels at the command line, a little fewer under pytest
+    "900-deep": ("[" * 900 + "0" + "]" * 900, "[" * 77 + "..."),
+    "500-numbers": ("[%s]" % ", ".join(["0.5"] * 500), "[" + "0.5, " * 15 + "0..."),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_ENTRIES))
+@pytest.mark.parametrize("parser", ["orjson", "json"])
+def test_long_malformed_entry_echoed_in_80_characters(parser, name):
+    entry, echo = LONG_ENTRIES[name]
+    text = '{"dims": [2], "amplitudes": [%s, [0, 0]]}' % entry
+    # parse_state hands a text this deep to json alone, but orjson reads it
+    payload = orjson.loads(text) if parser == "orjson" else json.loads(text)
+    with pytest.raises(io.StateFormatError) as err:
+        io._state(payload)
+    assert len(echo) == 80
+    assert str(err.value) == f"field 'amplitudes': expected a [re, im] pair, got {echo}"
+    assert outcome(io.parse_state, text) == outcome(json_state, text)
+
+
+@pytest.mark.parametrize("entry", [
+    [0.5] * 13 + [0.12345678901],
+    ["%076d" % 0],
+    [10 ** 77],
+    [[[[0.5] * 3] * 2] * 2, 0.25],
+], ids=["numbers", "string", "integer", "nested"])
+def test_entry_of_80_characters_echoed_whole(entry):
+    assert len(repr(entry)) == 80
+    with pytest.raises(io.StateFormatError) as err:
+        io.decode_vector([entry, [0, 0]], "amplitudes")
+    assert str(err.value).endswith(f"got {entry!r}")
 
 
 class TestStateFiles:
@@ -522,6 +559,146 @@ class TestTwoParsers:
     ], ids=["64", "65", "wide", "open-in-string", "close-in-string", "escape", "odd-quote"])
     def test_depth_guard(self, text, shallow):
         assert io._shallow(text) is shallow
+
+
+def read_as_text(parse, path, *args):
+    """parse of the file read in text mode, the reference for load_*."""
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read(), path, *args)
+
+
+FILE_BODIES = {
+    "state": '"dims": [2], "amplitudes": [[0.6, 0], [0, 0.8]]',
+    "basis": '"dim": 2, "basis": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]',
+}
+# each file, with %s for the body; the errors name a line, a column and a
+# character position, which count the line breaks as text mode reads them
+RAW_FILES = {
+    "crlf": b"{\r\n  %s\r\n}\r\n",
+    "crlf-error": b"{\r\n  %s,\r\n}\r\n",
+    "lone-cr": b"{\r  %s\r}\r",
+    "lone-cr-error": b"{\r\r  %s,\r}",
+    "bom": b"\xef\xbb\xbf{%s}",
+    "invalid-utf8": b'{%s, "note": "\xff"}',
+    "non-ascii": '{"\u00e9t\u00e9": "\u00fc", %s, "k\\u00e9y": "\\u00fc\\n"}'.encode(),
+    "non-ascii-error": '{"\u00e9t\u00e9": "\u00fc", %s,}'.encode(),
+    "escape": b'{"a\\"b": "\\ud800", %s}',
+    "empty": b"",
+    # json.loads would take bytes with a NUL among the first four for UTF-16
+    "nul": b"\0{%s}",
+    "nul-inside": b'{%s, "\0": 1}',
+}
+
+
+class TestReadingFiles:
+    @pytest.mark.parametrize("kind", sorted(FILE_BODIES))
+    @pytest.mark.parametrize("name", sorted(RAW_FILES))
+    def test_load_reads_the_file_as_text_mode_does(self, tmp_path, kind, name):
+        raw = RAW_FILES[name]
+        path = tmp_path / "file.json"
+        path.write_bytes(raw % FILE_BODIES[kind].encode() if b"%s" in raw else raw)
+        path = str(path)
+        load, parse = ((io.load_observable, io.parse_observable) if kind == "basis"
+                       else (io.load_state, io.parse_state))
+        read = outcome(lambda _: load(path), None)
+        assert read == outcome(lambda _: read_as_text(parse, path), None)
+        accepted = name in ("crlf", "lone-cr", "non-ascii", "escape")
+        assert isinstance(read[1], bytes) is accepted, read
+
+    def test_basis_dimension_passed_on(self, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_bytes(b"{\r\n%s}" % FILE_BODIES["basis"].encode())
+        for state_dim in (2, 3):
+            assert (outcome(lambda _: io.load_observable(str(path), state_dim), None)
+                    == outcome(lambda _: read_as_text(io.parse_observable, str(path),
+                                                      state_dim), None))
+
+    @pytest.mark.parametrize("base", ["float", "integer"])
+    @pytest.mark.parametrize("pair", ["[true, 0.5]", "[0.5, false]", "[1, true]",
+                                      "[0, false]"])
+    def test_boolean_in_a_matrix_keeps_json_field_and_message(self, base, pair):
+        value = 0.25 if base == "float" else 0
+        rows = [["[%s, 0]" % (value if j == k else 0) for j in range(4)] for k in range(4)]
+        if base == "integer":
+            rows[3][3] = "[1, 0]"
+        rows[1][2] = pair
+        text = '{"dims": [4], "matrix": [%s]}' % ", ".join(
+            "[%s]" % ", ".join(row) for row in rows)
+        message = "field 'matrix': expected a [re, im] pair, got %s" % (
+            pair.replace("true", "True").replace("false", "False"))
+        for payload in (orjson.loads(text), json.loads(text)):
+            with pytest.raises(io.StateFormatError) as err:
+                io._state(payload)
+            assert str(err.value) == message
+        assert outcome(io.parse_state, text) == (io.StateFormatError, "matrix", message)
+
+    def test_identity_basis_of_dimension_128_has_json_bits(self):
+        text = io.dumps({"dim": 128, "basis": [[[int(j == k), 0] for j in range(128)]
+                                               for k in range(128)]})
+        with json_unused():
+            read = outcome(io.parse_observable, text)
+        assert read == outcome(json_basis, text)
+        assert read[1] == np.eye(128, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("value", [
+        [[2 ** 63, 0], [1, 0.5]],
+        [[2 ** 64 - 1, -1], [2 ** 63 + 1, 2 ** 53 + 1]],
+        [[-2 ** 63, 2 ** 63 - 1], [2 ** 53 + 1, 3]],
+        [[2 ** 64 - 1, 2 ** 63], [2 ** 64 - 2, 2 ** 63 + 1025]],
+        [[1, 2], [3, 0.1]],
+        [[2 ** 64 + 1, 0.5], [0, 1]],
+    ], ids=["uint64-int", "uint64-int64", "int64-edges", "uint64-only", "mixed",
+            "beyond-64-bits"])
+    def test_integers_and_floats_keep_json_bits(self, value):
+        text = json.dumps(value)
+        expected = entry_formula(json.loads(text))
+        for payload in (orjson.loads(text), json.loads(text)):
+            assert io.decode_vector(payload, "amplitudes").tobytes() == expected.tobytes()
+            rows = [payload, payload[::-1]]
+            assert (io.decode_matrix(rows, "matrix").tobytes()
+                    == entry_formula(json.loads(json.dumps(rows))).tobytes())
+
+
+class TestCollectorPause:
+    STATE = '{"dims": [2], "amplitudes": [[0.6, 0], [0, 0.8]]}'
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("text", [
+        STATE,
+        '{"dims": [3], "amplitudes": [[0.6, 0], [0, 0.8]]}',
+        '{"dims": [2], "amplitudes": [[NaN, 0], [0, 0.8]]}',
+        "{",
+    ], ids=["accepted", "refused", "refused-by-orjson", "malformed"])
+    def test_caller_setting_restored(self, collecting, text):
+        with contextlib.suppress(io.StateFormatError):
+            io.parse_state(text)
+        assert gc.isenabled() is collecting
+
+    def test_caller_setting_restored_when_the_decoder_raises(self, collecting, monkeypatch):
+        monkeypatch.setattr(io, "_state", mock.Mock(side_effect=RuntimeError("decoder")))
+        with pytest.raises(RuntimeError, match="decoder"):
+            io.parse_state(self.STATE)
+        assert gc.isenabled() is collecting
+
+    def test_paused_while_orjson_payload_is_decoded(self, collecting, monkeypatch):
+        seen = []
+        decode = io._state
+
+        def recording(payload):
+            seen.append(gc.isenabled())
+            return decode(payload)
+
+        monkeypatch.setattr(io, "_state", recording)
+        io.parse_state(self.STATE)
+        # NaN: orjson refuses the text, and json's payload is decoded unpaused
+        io.parse_state(self.STATE[:-1] + ', "note": NaN}')
+        assert seen == [False, collecting]
 
 
 class TestReportPayload:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from waveparticle.states import (
     ValidationError,
+    _repaired,
     basis_state,
     hermitian_part,
     hs_norm_sq,
@@ -187,6 +188,23 @@ def test_validate_density_is_deterministic_on_degenerate_input():
     second = validate_density(np.eye(4, dtype=complex) / 4)
     assert np.array_equal(first, second)
     np.testing.assert_allclose(first, np.eye(4) / 4, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["one", "stack"])
+def test_repair_returns_the_spectrum_it_rebuilt_from(shape):
+    # a trace 5e-10 above 1 and an eigenvalue 5e-10 below 0, both within
+    # tolerance: the spectrum is clipped, then divided by the rebuilt trace
+    u, _ = np.linalg.qr(RNG.standard_normal(shape + (6, 6))
+                        + 1j * RNG.standard_normal(shape + (6, 6)))
+    lam_in = np.array([-5e-10, 0.05, 0.1, 0.15, 0.3, 0.4 + 1e-9])
+    rho = (u * lam_in) @ u.conj().swapaxes(-1, -2)
+    fixed, lam, v = _repaired(rho)
+    assert fixed.tobytes() == validate_density(rho).tobytes()
+    assert lam.shape == shape + (6,) and np.all(np.diff(lam, axis=-1) >= 0)
+    assert np.all(lam[..., 0] == 0.0)
+    assert np.abs(lam.sum(axis=-1) - 1.0).max() <= 1e-15
+    assert np.abs(np.linalg.eigvalsh(fixed) - lam).max() <= 1e-15
+    assert np.abs(fixed @ v - v * lam[..., None, :]).max() <= 1e-15
 
 
 def test_hermitian_part_rejects_non_hermitian():

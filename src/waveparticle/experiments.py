@@ -16,6 +16,7 @@ from .states import (
     _clamp,
     _reject_first,
     _unstack,
+    hermitian_part,
     hs_norm_sq,
     partial_trace,
     projector,
@@ -191,10 +192,13 @@ def wave_detector_run(x, amplitudes) -> ExperimentReport:
     concurrence and CHSH violation quantify how wavelike the input was. The
     identity n_l = 2 * wavelike_q2(input) is reported as a residual. Click k
     is the fixed 4x2 Kraus operator _CLICKS[k] from the quanton to the
-    register, so one product gives both clicks' states and one certified
-    spectral pass measures them. An array of mixing weights runs the whole
-    grid as one stack, giving arrays of scalars and stacks of states; the
-    first weight outside [0, 1] is named.
+    register, so one product gives both clicks' states. _CLICKS[1] =
+    (S x S^H) _CLICKS[0] with S = diag(1, i), so click 1's state is a local
+    unitary image of click 0's: one certified spectral pass measures click 0,
+    and click 1 gets the same CHSH value, nonlocality and concurrence. An
+    array of mixing weights runs the whole grid as one stack, giving arrays
+    of scalars and stacks of states; the first weight outside [0, 1] is
+    named.
     """
     x = _checked_range(x, "mixing weight x")[..., None, None]
     rho_q = ((1.0 - x) * np.eye(2, dtype=complex) / 2.0
@@ -203,19 +207,24 @@ def wave_detector_run(x, amplitudes) -> ExperimentReport:
     clicked = _CLICKS @ rho_q[..., None, :, :] @ _CLICKS_H   # (..., click, 4, 4)
     # p_k = Tr rho_q / 2 for every valid input, so neither click is impossible
     p = np.trace(clicked, axis1=-2, axis2=-1).real
-    conditional, w, v = _certified_spectrum(clicked / p[..., None, None],
+    clicked = clicked / p[..., None, None]
+    conditional, w, v = _certified_spectrum(clicked[..., 0, :, :],
                                             name="two-qubit state", vectors=True)
     b_max, n_l, c = _two_qubit_measures(conditional, w, v)
-    per_click = {"p": np.minimum(p, 1.0), "chsh_max": b_max, "nonlocality": n_l,
-                 "concurrence": c}
-    scalars = {f"{key}_click_{k}": _unstack(value[..., k])
-               for k in (0, 1) for key, value in per_click.items()}
-    scalars.update(duals)
-    residual = np.abs(n_l - 2.0 * np.asarray(duals["wavelike_q2"])[..., None])
-    scalars["nonlocality_activation_residual"] = _unstack(residual.max(axis=-1))
-    states = {"input": ReportState((2,), rho_q)}
+    scalars = {}
     for k in (0, 1):
-        states[f"conditional_click_{k}"] = ReportState((2, 2), conditional[..., k, :, :])
+        scalars.update({f"p_click_{k}": _unstack(np.minimum(p[..., k], 1.0)),
+                        f"chsh_max_click_{k}": b_max, f"nonlocality_click_{k}": n_l,
+                        f"concurrence_click_{k}": c})
+    scalars.update(duals)
+    scalars["nonlocality_activation_residual"] = _unstack(
+        np.abs(n_l - 2.0 * np.asarray(duals["wavelike_q2"])))
+    states = {
+        "input": ReportState((2,), rho_q),
+        "conditional_click_0": ReportState((2, 2), conditional),
+        "conditional_click_1": ReportState(
+            (2, 2), hermitian_part(clicked[..., 1, :, :], name="two-qubit state")),
+    }
     return ExperimentReport("wave-detector", scalars, states)
 
 

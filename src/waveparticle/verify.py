@@ -15,6 +15,7 @@ import numpy as np
 from . import measures, sampling
 from .channels import ReferenceObservable, dephase
 from .experiments import (
+    BEAM_SPLITTER,
     balanced_path_state,
     dce_analyze,
     measurement_model,
@@ -97,10 +98,25 @@ def _qubit_pair(a: float) -> np.ndarray:
 
 def _wave_detector_grid() -> list:
     """The 10x10 grid in (x, |alpha|) of checks 03 and 04: per |alpha|, the
-    mixing weights, |alpha beta| and the scalars of wave_detector_run."""
+    mixing weights, the amplitudes and the report of wave_detector_run."""
     xs = np.linspace(0.0, 1.0, 10)
-    return [(xs, abs(amps[0] * amps[1]), wave_detector_run(xs, amps).scalars)
+    return [(xs, amps, wave_detector_run(xs, amps))
             for amps in map(_qubit_pair, np.linspace(0.0, 1.0, 10))]
+
+
+def _conditional_states(xs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Both clicks' conditional register states (2, n, 4, 4) in closed form:
+    rho_q = (1 - x) 1/2 + x |amps><amps| leaves rho_00 on |10><10|, rho_11 on
+    |01><01| and 2 BS[k, 0] conj(BS[k, 1]) rho_01 on |10><01|, with its
+    conjugate on |01><10|; every other entry is zero."""
+    rho = ((1.0 - xs)[:, None, None] * np.eye(2) / 2.0
+           + xs[:, None, None] * np.outer(amps, amps.conj()))
+    states = np.zeros((2, len(xs), 4, 4), dtype=complex)
+    states[..., 2, 2], states[..., 1, 1] = rho[:, 0, 0], rho[:, 1, 1]
+    states[..., 2, 1] = (2.0 * (BEAM_SPLITTER[:, 0] * BEAM_SPLITTER[:, 1].conj())[:, None]
+                         * rho[:, 0, 1])
+    states[..., 1, 2] = states[..., 2, 1].conj()
+    return states
 
 
 def check_balanced_state_wavelike() -> CheckResult:
@@ -125,22 +141,27 @@ def check_recombined_state_entropy() -> CheckResult:
 
 def check_wave_detector_entanglement(grid: list | None = None) -> CheckResult:
     residual = 0.0
-    for xs, ab, scalars in grid or _wave_detector_grid():
+    for xs, amps, report in grid or _wave_detector_grid():
+        ab, scalars = abs(amps[0] * amps[1]), report.scalars
+        expected = _conditional_states(xs, amps)
         for k in (0, 1):
             residual = max(
                 residual,
                 float(np.max(np.abs(scalars[f"concurrence_click_{k}"] - 2.0 * xs * ab))),
                 float(np.max(np.abs(scalars[f"nonlocality_click_{k}"]
                                     - 4.0 * xs * xs * ab * ab))),
+                float(np.max(np.abs(report.states[f"conditional_click_{k}"].matrix
+                                    - expected[k]))),
             )
     return CheckResult("03_wave_detector_entanglement_nonlocality",
                        residual < 1e-10, residual, 1e-10,
-                       "10x10 grid in (x, |alpha|), both clicks")
+                       "10x10 grid in (x, |alpha|), both clicks' scalars and states")
 
 
 def check_werner_activation(grid: list | None = None) -> CheckResult:
     residual = 0.0
-    for xs, ab, scalars in grid or _wave_detector_grid():
+    for xs, amps, report in grid or _wave_detector_grid():
+        ab, scalars = abs(amps[0] * amps[1]), report.scalars
         iw2 = scalars["wavelike_q2"]
         residual = max(residual, float(np.max(np.abs(iw2 - 2.0 * xs * xs * ab * ab))))
         for k in (0, 1):

@@ -5,7 +5,8 @@ with different hash seeds. The two runs must print the same bytes and, for a
 sweep, write the same CSV bytes: output that depends on dict or set order,
 or on anything else that varies between runs, fails here. A sweep's CSV must
 also have LF line ends only, one line per grid point after the header, and
-every field in the 17-digit form io.FLOAT_FORMAT writes.
+every field in the 17-digit form io.FLOAT_FORMAT writes. `verify --json`
+must also report all 14 checks, every one passed.
 """
 
 import json
@@ -19,7 +20,8 @@ CASES = {
     # 1030 steps cross the 1024-point block boundary
     "sweep-dce": ["sweep", "dce", "--param", "phi", "--start", "0", "--stop", "7",
                   "--steps", "1030", "--bs2-alpha", "0.6", "--q", "1.5"],
-    # the wave-detector clicks take CHSH and concurrence from one certified spectrum
+    # click 0's certified spectrum gives CHSH and concurrence, and click 1 takes
+    # them through the local unitary S x S^H
     "sweep-wave-detector": ["sweep", "wave-detector", "--param", "x", "--start", "0",
                             "--stop", "1", "--steps", "1030", "--amp-alpha-re", "0.6",
                             "--amp-beta-im", "0.8"],
@@ -35,6 +37,8 @@ CASES = {
     # delayed choice from its two branches, at the splitter fully in and phi = pi
     "dce-point": ["experiment", "dce", "--bs2-alpha", "1.5707963267948966",
                   "--phi", "3.141592653589793"],
+    # the headline command: all 14 checks, every residual printed in full
+    "verify": ["verify", "--json"],
 }
 
 
@@ -82,6 +86,8 @@ def test_two_runs_give_the_same_bytes(tmp_path, name):
             "a field is not in the 17-digit format"
     else:
         assert stdout == stdout_again
-        states = json.loads(stdout)["states"]
+        payload = json.loads(stdout)
         if name == "bob":
-            assert states["pointer"] == states["quanton"]
+            assert payload["states"]["pointer"] == payload["states"]["quanton"]
+        if name == "verify":
+            assert len(payload["checks"]) == 14 and payload["passed"] is True, payload

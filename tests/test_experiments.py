@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveparticle import nonlocality, states
+from waveparticle import experiments, nonlocality, states
 from waveparticle.channels import ImpossibleOutcomeError, ReferenceObservable, measure_select_joint
 from waveparticle.experiments import (
     BEAM_SPLITTER,
@@ -85,6 +85,35 @@ def reference_wave_detector(x, amps):
             scalars[f"{key}_q{i + 1}"] = split[key][i]
     scalars["nonlocality_activation_residual"] = np.maximum(*residuals)
     return scalars, matrices
+
+
+def _circuit_cases():
+    """(x, amplitudes, atol) for the Kraus-versus-circuit comparison: mixing
+    weights 0, 1 and 1e-300, basis and near-basis inputs, and seeded random
+    pairs. The circuit's 8x8 state is Hermitian only up to rounding when both
+    amplitudes have real and imaginary parts, and measure_select_joint takes
+    its Hermitian part before dividing by p, where the Kraus path divides
+    first: those inputs may differ in the last bits (8.9e-16 at most over
+    2000 random pairs), every other one matches bit for bit (atol 0)."""
+    complex_pair = np.array([0.36 + 0.48j, 0.8j])
+    edges = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 1.0, 7)[1:]])
+    cases = [pytest.param(np.linspace(0.0, 1.0, 7), complex_pair, 0.0, id="grid"),
+             pytest.param(0.3, complex_pair, 0.0, id="float"),
+             pytest.param(0.0, complex_pair, 0.0, id="float-0"),
+             pytest.param(1.0, complex_pair, 0.0, id="float-1")]
+    near = 5e-9
+    pairs = {"basis-0": [1.0, 0.0], "basis-1": [0.0, 1.0],
+             "near-basis-0": [np.sqrt(1.0 - near * near), near * 1j],
+             "near-basis-1": [-near, np.sqrt(1.0 - near * near)]}
+    cases += [pytest.param(edges, np.array(amps, dtype=complex), 0.0, id=label)
+              for label, amps in pairs.items()]
+    g = np.random.default_rng(1804).standard_normal((20, 2, 2)) @ [1.0, 1.0j]
+    cases += [pytest.param(edges, row / np.linalg.norm(row), 2e-15, id=f"random-{i}")
+              for i, row in enumerate(g)]
+    return cases
+
+
+CIRCUIT_CASES = _circuit_cases()
 
 
 def reference_dce(alpha, phi):
@@ -401,8 +430,9 @@ class TestWaveDetector:
         assert s["nonlocality_activation_residual"] < 1e-10
 
     def test_each_state_checked_for_hermiticity_once(self, monkeypatch):
-        # the input's split, then one certified spectrum of both clicks feeds
-        # the CHSH values and the concurrences
+        # the input's split, click 0's certified spectrum, which feeds both
+        # clicks' CHSH values and concurrences through S x S^H, and click 1's
+        # Hermitian part
         x, amps = np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8], dtype=complex)
         expected = wave_detector_run(x, amps).scalars
         calls = []
@@ -411,32 +441,49 @@ class TestWaveDetector:
             calls.append(kwargs.get("name"))
             return hermitian_part(m, **kwargs)
 
-        for module in (states, nonlocality):
+        for module in (states, nonlocality, experiments):
             monkeypatch.setattr(module, "hermitian_part", counting)
         scalars = wave_detector_run(x, amps).scalars
-        assert calls == ["state", "two-qubit state"]
+        assert calls == ["state", "two-qubit state", "two-qubit state"]
         for key, value in expected.items():
             assert np.array_equal(scalars[key], value), key
 
-    @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 7), 0.3], ids=["grid", "float"])
-    def test_kraus_clicks_reproduce_the_register_circuit(self, x):
-        amps = np.array([0.36 + 0.48j, 0.8j])
+    def test_click_1_is_click_0_under_a_local_phase(self):
+        # _CLICKS[1] = (S x S^H) _CLICKS[0] with S = diag(1, i), exactly: the
+        # local unitary keeps CHSH and concurrence, so click 1 reuses click 0's
+        s = np.diag([1.0, 1.0j])
+        local = np.kron(s, s.conj().T)
+        assert np.array_equal(local @ experiments._CLICKS[0], experiments._CLICKS[1])
+
+    @pytest.mark.parametrize("x,amps,atol", CIRCUIT_CASES)
+    def test_kraus_clicks_reproduce_the_register_circuit(self, x, amps, atol):
         report = wave_detector_run(x, amps)
         expected_scalars, expected_states = reference_wave_detector(x, amps)
         assert list(report.scalars) == list(expected_scalars)
-        for key, value in expected_scalars.items():
-            assert_same_bits(report.scalars[key], value, key)
-        for key, matrix in expected_states.items():
-            assert_same_bits(report.states[key].matrix, matrix, key)
+        expected = [(report.scalars[key], value, key) for key, value in expected_scalars.items()]
+        expected += [(report.states[key].matrix, matrix, key)
+                     for key, matrix in expected_states.items()]
+        for actual, value, key in expected:
+            if atol:
+                np.testing.assert_allclose(actual, value, rtol=0.0, atol=atol, err_msg=key)
+            else:
+                assert_same_bits(actual, value, key)
+        # each click's measures are those of a solve of its own reported
+        # state, bit for bit: click 1 takes click 0's through S x S^H
+        for k in (0, 1):
+            own = nonlocality._two_qubit_measures(*states._certified_spectrum(
+                report.states[f"conditional_click_{k}"].matrix, vectors=True))
+            for key, value in zip(("chsh_max", "nonlocality", "concurrence"), own):
+                assert_same_bits(report.scalars[f"{key}_click_{k}"], value, f"{key}_click_{k}")
 
-    def test_one_spectral_pass_over_both_clicks(self, monkeypatch):
-        # eigvalsh: the input's split and the CHSH tensors of both clicks; eigh
-        # and svd: both clicks' spectra and concurrences; no Kronecker product
+    def test_one_spectral_pass_over_click_0(self, monkeypatch):
+        # eigvalsh: the input's split and click 0's CHSH tensor; eigh and svd:
+        # click 0's spectrum and concurrence; no Kronecker product
         calls = []
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, np.shape(args[0])))
                 return function(*args, **kwargs)
             return wrapper
 
@@ -444,7 +491,8 @@ class TestWaveDetector:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np, "kron", counting("kron", np.kron))
         wave_detector_run(np.linspace(0.0, 1.0, 5), np.array([0.6, 0.8j]))
-        assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh", "svd"]
+        assert sorted(calls) == [("eigh", (5, 4, 4)), ("eigvalsh", (5, 2, 2)),
+                                 ("eigvalsh", (5, 3, 3)), ("svd", (5, 4, 4))]
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

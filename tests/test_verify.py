@@ -45,6 +45,28 @@ def test_checks_03_04_read_the_last_grid_point(monkeypatch, key, check, residual
     assert result.residual == pytest.approx(residual, rel=1e-3)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_check_03_catches_a_transposed_conditional_state(monkeypatch, k):
+    # a transposed state keeps every scalar, so only the closed-form states
+    # can show it: the coherence 2 BS[k, 0] conj(BS[k, 1]) rho_01 turns into
+    # its conjugate, a change of 2 x |alpha beta|, largest at the last x = 1
+    wave_detector_run = verify.wave_detector_run
+
+    def mutated(x, amplitudes):
+        report = wave_detector_run(x, amplitudes)
+        state = report.states[f"conditional_click_{k}"]
+        report.states[f"conditional_click_{k}"] = state._replace(
+            matrix=state.matrix.swapaxes(-1, -2))
+        return report
+
+    monkeypatch.setattr(verify, "wave_detector_run", mutated)
+    result = verify.check_wave_detector_entanglement()
+    assert not result.passed
+    largest = max(2.0 * abs(a * np.sqrt(1.0 - a * a)) for a in np.linspace(0.0, 1.0, 10))
+    assert result.residual == pytest.approx(largest, rel=1e-12)
+    assert verify.check_werner_activation().passed
+
+
 def test_run_checks_evaluates_the_wave_detector_grid_once(monkeypatch):
     wave_detector_run = verify.wave_detector_run
     calls = mock.Mock(side_effect=wave_detector_run)

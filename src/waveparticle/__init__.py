@@ -9,17 +9,15 @@ scenarios where the duality shows up operationally.
 from types import ModuleType as _ModuleType
 
 from .channels import (
-    ImpossibleOutcomeError,
     ReferenceObservable,
     dephase,
-    measure_select,
-    measure_select_joint,
     populations,
     reduced_from_informer,
 )
 from .experiments import (
     BEAM_SPLITTER,
     ExperimentReport,
+    ImpossibleOutcomeError,
     ReportState,
     balanced_path_state,
     dce_analyze,

@@ -1,4 +1,4 @@
-"""Measurement-related maps: dephasing and selective projection."""
+"""Measurement-related maps: reference observables, dephasing and informer coupling."""
 
 from __future__ import annotations
 
@@ -7,22 +7,12 @@ import numpy as np
 from .states import (
     DEFAULT_TOL,
     ValidationError,
-    _certified_spectrum,
-    _factor_dims,
     _reject_first,
-    _unstack,
     hermitian_part,
     projector,
     validate_density,
     validate_pure,
 )
-
-IMPOSSIBLE_OUTCOME_TOL = 1e-12
-
-
-class ImpossibleOutcomeError(ValueError):
-    """Selected measurement outcome has (numerically) zero probability."""
-
 
 class ReferenceObservable:
     """Orthonormal basis {|k>} defining rank-1 projectors and a dephasing map.
@@ -106,57 +96,6 @@ def dephase(rho, k_obs: ReferenceObservable) -> np.ndarray:
 def _dephase(rho: np.ndarray, k_obs: ReferenceObservable) -> np.ndarray:
     u = k_obs.columns
     return (u * _populations(rho, k_obs)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-
-
-def measure_select(rho, k_obs: ReferenceObservable, k: int):
-    """Projective measurement with a selected outcome.
-
-    Returns the conditional state (the projector on the outcome vector)
-    together with the outcome probability. A stack (..., d, d) shares that
-    projector and gives an array of probabilities; the first member for
-    which the outcome is impossible is named by its index. This is
-    measure_select_joint with a trivial unmeasured factor (split d x 1), so
-    rho is certified as a density matrix the same way.
-    """
-    rho = _check_dims(rho, k_obs)
-    _, p = measure_select_joint(rho, (k_obs.dim, 1), k_obs, k)
-    return k_obs.projector(k), p
-
-
-def measure_select_joint(rho, split, k_obs: ReferenceObservable, k: int):
-    """Measure the left factor of a bipartite state, keep the right one.
-
-    Returns the conditional state of the unmeasured factor and the click
-    probability. After the shape and outcome checks rho is certified as a
-    density matrix, like every state a public function takes, and its
-    Hermitian part is contracted. A stack (..., dA dB, dA dB) gives a stack
-    of conditional states and an array of probabilities; the first member
-    that is not a density matrix, or for which the outcome is impossible,
-    is named by its index.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim_a, dim_b = _factor_dims(split)
-    if rho.ndim < 2 or rho.shape[-2:] != (dim_a * dim_b, dim_a * dim_b):
-        raise ValidationError(
-            f"state shape {rho.shape} does not match split {dim_a}x{dim_b}")
-    if k_obs.dim != dim_a:
-        raise ValidationError(
-            f"observable dimension {k_obs.dim} does not match measured factor {dim_a}")
-    if k_obs.columns.ndim > 2:
-        raise ValidationError(f"a selected outcome needs one basis, "
-                              f"got a stack of shape {k_obs.columns.shape}")
-    if not 0 <= k < dim_a:
-        raise ValueError(f"outcome index {k} out of range for dimension {dim_a}")
-    rho, _, _ = _certified_spectrum(rho)
-    vec = k_obs.columns[:, k]
-    blocks = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
-    unnormalized = np.einsum("a,...aibj,b->...ij", vec.conj(), blocks, vec)
-    p = np.trace(unnormalized, axis1=-2, axis2=-1).real
-    _reject_first(p < IMPOSSIBLE_OUTCOME_TOL, lambda index, at: (
-        f"outcome {k}{at} has probability {p[index]:.3e}"), ImpossibleOutcomeError)
-    conditional = unnormalized / p[..., None, None]
-    conditional = (conditional + conditional.conj().swapaxes(-1, -2)) / 2.0
-    return conditional, _unstack(np.minimum(p, 1.0))
 
 
 def reduced_from_informer(amplitudes, gram) -> np.ndarray:

@@ -181,8 +181,7 @@ SCENARIOS = {
     "wave-detector": Scenario(lambda args: wave_detector_run(args.x, _amplitudes(args)),
                               ("x",), "input"),
     "measurement-model": Scenario(
-        lambda args: measurement_model(
-            _amplitudes(args), "bob" if args.click is None else "alice", outcome=args.click),
+        lambda args: measurement_model(_amplitudes(args), args.click),
         (), "quanton"),
     "morphing": Scenario(_run_morphing, ("eta",), "quanton"),
 }

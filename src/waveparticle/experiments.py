@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import measures
-from .channels import ReferenceObservable, measure_select, reduced_from_informer
+from .channels import ReferenceObservable, reduced_from_informer
 from .nonlocality import _two_qubit_measures
 from .states import (
     ValidationError,
@@ -22,6 +22,13 @@ from .states import (
     projector,
     validate_pure,
 )
+
+IMPOSSIBLE_OUTCOME_TOL = 1e-12
+
+
+class ImpossibleOutcomeError(ValueError):
+    """Selected measurement outcome has (numerically) zero probability."""
+
 
 BEAM_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
@@ -228,18 +235,17 @@ def wave_detector_run(x, amplitudes) -> ExperimentReport:
     return ExperimentReport("wave-detector", scalars, states)
 
 
-def measurement_model(amplitudes, perspective: str,
-                      outcome: int | None = None) -> ExperimentReport:
+def measurement_model(amplitudes, outcome: int | None = None) -> ExperimentReport:
     """Minimal pointer-coupling model of a measurement.
 
     The quanton branch |k> drives an orthonormal pointer state |k>, giving
-    the premeasurement state sum_k c_k |k>|k>. The 'alice' perspective reads
-    the pointer and conditions on one outcome: measure_select on the
-    pointer's marginal diag(|c_k|^2), whose conditional state is then both
-    the pointer's and the quanton's. The 'bob' perspective keeps the unread
-    joint state and looks at the marginals. Either way the post-interaction
-    quanton and pointer are particlelike in their own bases, while the input
-    quanton carried wavelike information H(|c_k|^2).
+    the premeasurement state sum_k c_k |k>|k>. The outcome chooses the view.
+    With no outcome (Bob) the joint state stays unread and its marginals are
+    measured. With an outcome k (Alice) the pointer is read: k is seen with
+    probability |c_k|^2 and leaves quanton and pointer both in |k><k|.
+    Either way the post-interaction quanton and pointer are particlelike in
+    their own bases, while the input quanton carried wavelike information
+    H(|c_k|^2).
     """
     c = validate_pure(amplitudes)
     branches = c.size
@@ -249,15 +255,16 @@ def measurement_model(amplitudes, perspective: str,
     probabilities = np.abs(c) ** 2
     pre_wavelike = measures.shannon(probabilities)
     extra: dict[str, float] = {}
-    if perspective == "alice":
-        if outcome is None:
-            raise ValidationError("the alice perspective needs an outcome index")
-        rho_q, extra["p_outcome"] = measure_select(np.diag(probabilities), obs, outcome)
-    elif perspective == "bob":
+    if outcome is None:
         rho_joint = projector(np.diag(c).reshape(-1))
         rho_q = partial_trace(rho_joint, (branches, branches), keep=0)
     else:
-        raise ValidationError(f"unknown perspective {perspective!r}")
+        if not 0 <= outcome < branches:
+            raise ValueError(f"outcome index {outcome} out of range for dimension {branches}")
+        p = float(probabilities[outcome])
+        if p < IMPOSSIBLE_OUTCOME_TOL:
+            raise ImpossibleOutcomeError(f"outcome {outcome} has probability {p:.3e}")
+        rho_q, extra["p_outcome"] = obs.projector(outcome), min(p, 1.0)
     # The premeasurement is symmetric in quanton and pointer, so the pointer's
     # marginal is the quanton's, bit for bit, and one split measures both.
     duals = _dual_measures(measures.duality(rho_q, obs, (1.0, 2.0)))

@@ -291,8 +291,8 @@ def check_measurement_perspectives() -> CheckResult:
         obs = path_basis(c.size)
         iw_pre = measures.wavelike_info(projector(c), obs, 1.0)
         residual = max(residual, abs(iw_pre - expected))
-        reports = [measurement_model(c, "bob")]
-        reports.extend(measurement_model(c, "alice", outcome=k)
+        reports = [measurement_model(c)]
+        reports.extend(measurement_model(c, k)
                        for k in range(c.size) if probabilities[k] > 1e-12)
         for report in reports:
             for key in ("wavelike_q1", "wavelike_q2",

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveparticle.channels import (
-    ImpossibleOutcomeError,
     ReferenceObservable,
     dephase,
-    measure_select,
-    measure_select_joint,
     _populations,
     populations,
     reduced_from_informer,
@@ -178,132 +175,6 @@ class TestPopulationsKernel:
         expected = np.diagonal(u.conj().T @ rho @ u).real
         np.testing.assert_allclose(_populations(rho, ReferenceObservable(u)), expected,
                                    rtol=0, atol=1e-13)
-
-
-class TestMeasureSelect:
-    def test_probabilities_sum_to_one(self):
-        rho = random_density(3)
-        obs = ReferenceObservable.computational(3)
-        total = sum(measure_select(rho, obs, k)[1] for k in range(3))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_conditional_is_outcome_projector(self):
-        rho = np.eye(2, dtype=complex) / 2
-        conditional, p = measure_select(rho, x_basis(), 0)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        np.testing.assert_allclose(conditional, projector(plus), atol=1e-12)
-
-    def test_impossible_outcome(self):
-        rho = projector(basis_state(2, 0))
-        obs = ReferenceObservable.computational(2)
-        with pytest.raises(ImpossibleOutcomeError):
-            measure_select(rho, obs, 1)
-
-    def test_probability_matches_projection_formula(self):
-        # measure_select is measure_select_joint with split d x 1; its probability
-        # is summed as that 1x1 block's trace, not as (v^H rho) v
-        worst = 0.0
-        for dim in range(2, 9):
-            rho = np.array([random_density(dim) for _ in range(20)])
-            obs = ReferenceObservable(np.linalg.qr(random_density(dim))[0])
-            for k in range(dim):
-                vec = obs.columns[:, k]
-                expected = np.minimum(np.real((vec.conj() @ rho) @ vec), 1.0)
-                worst = max(worst, float(np.max(np.abs(measure_select(rho, obs, k)[1]
-                                                       - expected))))
-        assert worst <= 2.3e-16
-
-    def test_rejection_messages(self):
-        obs = ReferenceObservable.computational(2)
-        for k in (-1, 2):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"outcome index {k} out of range for dimension 2")):
-                measure_select(np.eye(2) / 2, obs, k)
-        stack = np.array([np.eye(2) / 2, projector(basis_state(2, 0))])
-        with pytest.raises(ImpossibleOutcomeError, match=re.escape(
-                "outcome 1 [1] has probability 0.000e+00")):
-            measure_select(stack, obs, 1)
-        with pytest.raises(ValidationError, match=re.escape(
-                "a selected outcome needs one basis, got a stack of shape (2, 2, 2)")):
-            measure_select(stack, ReferenceObservable(np.array([np.eye(2)] * 2)), 0)
-        with pytest.raises(ValidationError, match=re.escape(
-                "state shape (3, 3) does not match observable dimension 2")):
-            measure_select(np.eye(3) / 3, obs, 0)
-
-
-# each defect, then the detail the 2x2 state gives
-NOT_DENSITY = [
-    (np.array([[0.5, 0.3], [0.0, 0.5]]), "state is not Hermitian",
-     ": max |M - M^H| = 3.000e-01 exceeds 1.0e-09"),
-    (np.array([[0.5, np.nan], [np.nan, 0.5]]), "state has non-finite entries",
-     " at [(0, 1), (1, 0)]"),
-    # the diagonal sums to 1, so an unchecked contraction reads p = 1.0 for outcome 0
-    (np.diag([2.0, -1.0]), "state is not a density matrix",
-     ": eigenvalues sum to 1.0, smallest -1.000e+00 (tolerance 1.0e-09)"),
-    (np.diag([0.51, 0.5]), "state is not a density matrix",
-     ": eigenvalues sum to 1.01, smallest 5.000e-01 (tolerance 1.0e-09)"),
-]
-
-
-@pytest.mark.parametrize("rho,defect,detail", NOT_DENSITY,
-                         ids=["non-Hermitian", "nan", "negative", "trace"])
-def test_selection_certifies_the_state(rho, defect, detail):
-    obs = ReferenceObservable.computational(2)
-    for select in (lambda: measure_select(rho, obs, 0),
-                   lambda: measure_select_joint(rho, (2, 1), obs, 0)):
-        with pytest.raises(ValidationError, match=re.escape(defect + detail)):
-            select()
-    with pytest.raises(ValidationError, match=re.escape(defect)):
-        measure_select_joint(np.kron(rho, np.eye(2) / 2), (2, 2), obs, 0)
-
-
-def test_selection_checks_the_outcome_before_the_state():
-    with pytest.raises(ValueError, match=re.escape("outcome index 2 out of range")):
-        measure_select(np.diag([2.0, -1.0]), ReferenceObservable.computational(2), 2)
-
-
-class TestMeasureSelectJoint:
-    def test_refuses_a_non_integer_factor(self):
-        # int() would read 2.7 as 2 and give p = 0.5 for the maximally mixed state
-        with pytest.raises(ValidationError, match=re.escape(
-                "factor dimensions must be two integers, got (2.7, 2)")):
-            measure_select_joint(np.eye(4) / 4, (2.7, 2), ReferenceObservable.computational(2), 0)
-
-    def test_bell_state_click(self):
-        bell = (np.kron(basis_state(2, 0), basis_state(2, 0))
-                + np.kron(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
-        obs = ReferenceObservable.computational(2)
-        conditional, p = measure_select_joint(
-            projector(bell), (2, 2), obs, 1)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(conditional, projector(basis_state(2, 1)), atol=1e-12)
-
-    def test_click_probabilities_sum_to_one(self):
-        rho = random_density(6)
-        obs = ReferenceObservable.computational(2)
-        total = sum(measure_select_joint(rho, (2, 3), obs, k)[1]
-                    for k in range(2))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_hand_built_register_circuit(self):
-        # quanton on a balanced superposition writes its path into two
-        # register qubits, then crosses a splitter; conditioning on the
-        # quanton click must leave the register in (a|10> + i b|01>)/norm
-        a, b = 0.6, 0.8
-        after_couple = np.zeros(8, dtype=complex)
-        after_couple[2] = a            # |0>|10>
-        after_couple[5] = b            # |1>|01>
-        bs = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
-        mixed = np.kron(bs, np.eye(4, dtype=complex)) @ after_couple
-        obs = ReferenceObservable.computational(2)
-        conditional, p = measure_select_joint(
-            projector(mixed), (2, 4), obs, 0)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        expected = np.zeros(4, dtype=complex)
-        expected[2] = a
-        expected[1] = 1j * b
-        np.testing.assert_allclose(conditional, projector(expected), atol=1e-12)
 
 
 class TestPurification:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveparticle import experiments, nonlocality, states
-from waveparticle.channels import ImpossibleOutcomeError, ReferenceObservable, measure_select_joint
+from waveparticle import ImpossibleOutcomeError, experiments, nonlocality, states
+from waveparticle.channels import ReferenceObservable
 from waveparticle.experiments import (
     BEAM_SPLITTER,
     balanced_path_state,
@@ -60,7 +60,7 @@ def count_solves(monkeypatch):
 def reference_wave_detector(x, amps):
     """wave_detector_run built as the 8x8 circuit: the register |00><00|
     joined by np.kron, the path-controlled flips and the beam splitter as
-    sandwiches, and each click measured on its own."""
+    sandwiches, and each click projected on its own by click_projection."""
     couple = (np.kron(projector(basis_state(2, 0)), np.kron(FLIP, EYE2))
               + np.kron(projector(basis_state(2, 1)), np.kron(EYE2, FLIP)))
     mix = np.kron(BEAM_SPLITTER, np.eye(4, dtype=complex))
@@ -73,7 +73,7 @@ def reference_wave_detector(x, amps):
     wavelike_q2 = split["wavelike"][1]
     scalars, matrices, residuals = {}, {}, []
     for k in (0, 1):
-        conditional, p = measure_select_joint(evolved, (2, 4), obs, k)
+        conditional, p = click_projection(evolved, k)
         b_max, n_l, c = nonlocality._two_qubit_measures(*states._certified_spectrum(
             conditional, name="two-qubit state", vectors=True))
         scalars.update({f"p_click_{k}": p, f"chsh_max_click_{k}": b_max,
@@ -87,11 +87,21 @@ def reference_wave_detector(x, amps):
     return scalars, matrices
 
 
+def click_projection(evolved, k):
+    """The register state and probability when the quanton of the 8x8 state
+    clicks k: the k-th 4x4 diagonal block of its Hermitian part, divided by
+    its trace, then averaged with its conjugate transpose."""
+    block = hermitian_part(evolved)[..., 4 * k:4 * k + 4, 4 * k:4 * k + 4]
+    p = np.trace(block, axis1=-2, axis2=-1).real
+    conditional = block / p[..., None, None]
+    return (conditional + conditional.conj().swapaxes(-1, -2)) / 2.0, p
+
+
 def _circuit_cases():
     """(x, amplitudes, atol) for the Kraus-versus-circuit comparison: mixing
     weights 0, 1 and 1e-300, basis and near-basis inputs, and seeded random
     pairs. The circuit's 8x8 state is Hermitian only up to rounding when both
-    amplitudes have real and imaginary parts, and measure_select_joint takes
+    amplitudes have real and imaginary parts, and click_projection takes
     its Hermitian part before dividing by p, where the Kraus path divides
     first: those inputs may differ in the last bits (8.9e-16 at most over
     2000 random pairs), every other one matches bit for bit (atol 0)."""
@@ -455,6 +465,30 @@ class TestWaveDetector:
         local = np.kron(s, s.conj().T)
         assert np.array_equal(local @ experiments._CLICKS[0], experiments._CLICKS[1])
 
+    def test_click_projection_reads_the_hand_built_register(self):
+        # quanton on a balanced superposition writes its path into two
+        # register qubits, then crosses a splitter; conditioning on the
+        # quanton click must leave the register in (a|10> + i b|01>)/norm
+        a, b = 0.6, 0.8
+        after_couple = np.zeros(8, dtype=complex)
+        after_couple[2] = a            # |0>|10>
+        after_couple[5] = b            # |1>|01>
+        mixed = np.kron(BEAM_SPLITTER, np.eye(4, dtype=complex)) @ after_couple
+        conditional, p = click_projection(projector(mixed), 0)
+        assert p == pytest.approx(0.5, abs=1e-12)
+        expected = np.zeros(4, dtype=complex)
+        expected[2] = a
+        expected[1] = 1j * b
+        np.testing.assert_allclose(conditional, projector(expected), atol=1e-12)
+
+    def test_click_projection_probabilities_sum_to_one(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        total = sum(click_projection(rho, k)[1] for k in (0, 1))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("x,amps,atol", CIRCUIT_CASES)
     def test_kraus_clicks_reproduce_the_register_circuit(self, x, amps, atol):
         report = wave_detector_run(x, amps)
@@ -506,7 +540,7 @@ class TestWaveDetector:
 class TestMeasurementModel:
     def test_alice_conditions_on_outcome(self):
         c = np.array([0.6, 0.8], dtype=complex)
-        report = measurement_model(c, "alice", outcome=1)
+        report = measurement_model(c, outcome=1)
         assert report.scalars["p_outcome"] == pytest.approx(0.64, abs=1e-12)
         np.testing.assert_allclose(report.states["quanton"].matrix,
                                    projector(basis_state(2, 1)), atol=1e-12)
@@ -514,16 +548,13 @@ class TestMeasurementModel:
         assert report.scalars["wavelike_pointer_q1"] == 0.0
 
     def test_alice_impossible_outcome(self):
-        with pytest.raises(ImpossibleOutcomeError):
-            measurement_model(np.array([1.0, 0.0]), "alice", outcome=1)
-
-    def test_alice_needs_outcome(self):
-        with pytest.raises(ValidationError):
-            measurement_model(np.array([0.6, 0.8]), "alice")
+        with pytest.raises(ImpossibleOutcomeError, match=re.escape(
+                "outcome 1 has probability 0.000e+00")):
+            measurement_model(np.array([1.0, 0.0]), outcome=1)
 
     def test_bob_keeps_the_mixture(self):
         c = np.array([0.6, 0.8j], dtype=complex)
-        report = measurement_model(c, "bob")
+        report = measurement_model(c)
         np.testing.assert_allclose(report.states["quanton"].matrix,
                                    np.diag([0.36, 0.64]), atol=1e-12)
         np.testing.assert_allclose(report.states["pointer"].matrix,
@@ -533,45 +564,40 @@ class TestMeasurementModel:
 
     def test_pre_interaction_entropy_reported(self):
         c = np.array([0.5, 0.5, 1 / np.sqrt(2)], dtype=complex)
-        report = measurement_model(c, "bob")
+        report = measurement_model(c)
         p = np.abs(c) ** 2
         assert report.scalars["wavelike_pre_q1"] == pytest.approx(
             float(-(p * np.log(p)).sum()), abs=1e-12)
 
     def test_definite_branch_changes_nothing(self):
         c = np.array([1.0, 0.0], dtype=complex)
-        for report in (measurement_model(c, "bob"),
-                       measurement_model(c, "alice", outcome=0)):
+        for report in (measurement_model(c), measurement_model(c, outcome=0)):
             assert report.scalars["wavelike_pre_q1"] == 0.0
             np.testing.assert_allclose(report.states["quanton"].matrix,
                                        projector(basis_state(2, 0)), atol=1e-12)
-
-    def test_unknown_perspective(self):
-        with pytest.raises(ValidationError):
-            measurement_model(np.array([0.6, 0.8]), "eve")
 
     def test_both_states_certified_in_one_solve(self, monkeypatch):
         c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
         solves = count_solves(monkeypatch)
         # the pointer's marginal is the quanton's, so one state is solved
-        measurement_model(c, "bob")
+        measurement_model(c)
         assert solves == [("eigvalsh", (3, 3))]
         solves.clear()
-        # alice: measure_select certifies the pointer marginal, then the state
-        measurement_model(c, "alice", outcome=2)
-        assert solves == [("eigvalsh", (3, 3)), ("eigvalsh", (3, 3))]
+        # alice reads |c_k|^2 and |k><k| directly and solves only that state
+        measurement_model(c, outcome=2)
+        assert solves == [("eigvalsh", (3, 3))]
 
     @pytest.mark.parametrize("outcome", [None, 0, 1])
     def test_pointer_and_quanton_have_the_same_bits(self, outcome):
         c = np.array([0.36 + 0.48j, 0.8j])
-        report = measurement_model(c, "bob" if outcome is None else "alice", outcome)
+        report = measurement_model(c, outcome)
         assert_same_bits(report.states["pointer"].matrix, report.states["quanton"].matrix,
                          outcome)
 
     @pytest.mark.parametrize("outcome", [None, 0, 1, 2])
     def test_each_state_keeps_the_bits_it_gets_alone(self, outcome):
         c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
-        report = measurement_model(c, "bob" if outcome is None else "alice", outcome)
+        report = measurement_model(c, outcome)
         obs = ReferenceObservable.computational(3)
         quanton = duality(report.states["quanton"].matrix, obs, (1.0, 2.0))
         pointer = duality(report.states["pointer"].matrix, obs, (1.0, 2.0))
@@ -583,18 +609,85 @@ class TestMeasurementModel:
 
     def test_alice_selects_on_the_pointer_marginal(self):
         c = np.array([0.36 + 0.48j, 0.8j])
-        report = measurement_model(c, "alice", outcome=0)
+        report = measurement_model(c, outcome=0)
         assert report.scalars["p_outcome"] == float(np.abs(c[0]) ** 2)
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"outcome index {k} out of range for dimension 2")):
+                measurement_model(c, outcome=k)
+
+    @pytest.mark.parametrize("branches", [2, 3, 4, 5])
+    def test_alice_reads_the_branch_weights(self, branches):
+        # p_outcome is |c_k|^2 as the model holds it, and the outcomes exhaust
+        rng = np.random.default_rng(branches)
+        c = rng.normal(size=branches) + 1j * rng.normal(size=branches)
+        c /= np.linalg.norm(c)
+        p = [measurement_model(c, outcome=k).scalars["p_outcome"] for k in range(branches)]
+        assert p == [float(np.abs(c[k]) ** 2) for k in range(branches)]
+        assert sum(p) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("outcome", [0, 1, 2])
+    def test_alice_state_is_the_outcome_projector(self, outcome):
+        report = measurement_model(np.array([0.5, 0.5j, 1 / np.sqrt(2)]), outcome=outcome)
+        for name in ("quanton", "pointer"):
+            assert np.array_equal(report.states[name].matrix,
+                                  projector(basis_state(3, outcome))), name
+        assert report.scalars["wavelike_q1"] == 0.0
+
+    # each amplitude defect and the refusal it gets, whichever view is asked
+    NOT_AMPLITUDES = [
+        # |c_0|^2 reads 1.0, so an unchecked read would report p = 1.0 for outcome 0
+        ([1.0, 1.0], ValidationError, "state norm^2 = 2.0 deviates from 1 beyond 1.0e-09"),
+        ([np.nan, 1.0], ValidationError, "state norm^2 = nan deviates from 1 beyond 1.0e-09"),
+        ([1e200, 0.0], ValidationError, "state norm^2 = inf deviates from 1 beyond 1.0e-09"),
+        ([[1.0, 0.0]], ValidationError,
+         "amplitude vector must be 1-d and nonempty, got shape (1, 2)"),
+        ([1.0], ValidationError, "need at least two branches"),
+    ]
+
+    @pytest.mark.parametrize("outcome", [None, 0], ids=["bob", "alice"])
+    @pytest.mark.parametrize("amplitudes,error,message", NOT_AMPLITUDES,
+                             ids=["norm", "nan", "overflow", "shape", "one-branch"])
+    def test_refuses_amplitudes_that_are_not_a_state(self, amplitudes, error, message,
+                                                     outcome):
+        with pytest.raises(error, match=re.escape(message)):
+            measurement_model(np.array(amplitudes), outcome=outcome)
+
+    def test_alice_refuses_below_the_impossible_outcome_tolerance(self):
+        p = experiments.IMPOSSIBLE_OUTCOME_TOL / 10
+        c = np.array([np.sqrt(1 - p), np.sqrt(p)])
+        with pytest.raises(ImpossibleOutcomeError, match=re.escape(
+                f"outcome 1 has probability {float(np.abs(c[1]) ** 2):.3e}")):
+            measurement_model(c, outcome=1)
+
+    def test_alice_reads_a_small_but_possible_outcome(self):
+        p = experiments.IMPOSSIBLE_OUTCOME_TOL * 10
+        c = np.array([np.sqrt(1 - p), np.sqrt(p)])
+        report = measurement_model(c, outcome=1)
+        assert report.scalars["p_outcome"] == float(np.abs(c[1]) ** 2)
+        assert np.array_equal(report.states["quanton"].matrix, projector(basis_state(2, 1)))
+
+    def test_alice_impossible_outcome_among_three_branches(self):
+        c = np.array([0.6, 0.0, 0.8])
+        with pytest.raises(ImpossibleOutcomeError, match=re.escape(
+                "outcome 1 has probability 0.000e+00")):
+            measurement_model(c, outcome=1)
+        assert [measurement_model(c, outcome=k).scalars["p_outcome"] for k in (0, 2)] == [
+            float(0.6 ** 2), float(0.8 ** 2)]
+
+    def test_range_is_checked_before_the_probability(self):
+        # an index past the end is out of range, not an impossible outcome
         with pytest.raises(ValueError, match=re.escape(
-                "outcome index 2 out of range for dimension 2")):
-            measurement_model(c, "alice", outcome=2)
+                "outcome index 2 out of range for dimension 2")) as refused:
+            measurement_model(np.array([1.0, 0.0]), outcome=2)
+        assert refused.type is ValueError
 
     def test_bob_premeasurement_matches_the_branch_loop(self):
         c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
         joint = np.zeros(9, dtype=complex)
         for k in range(3):
             joint[k * 3 + k] = c[k]
-        report = measurement_model(c, "bob")
+        report = measurement_model(c)
         for keep, name in enumerate(("quanton", "pointer")):
             assert_same_bits(report.states[name].matrix,
                              partial_trace(projector(joint), (3, 3), keep=keep), name)

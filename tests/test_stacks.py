@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from waveparticle import cli, io, measures, nonlocality
 from waveparticle.channels import (
-    ImpossibleOutcomeError,
     ReferenceObservable,
     dephase,
-    measure_select,
-    measure_select_joint,
     populations,
     reduced_from_informer,
 )
@@ -81,23 +78,12 @@ def test_two_qubit_stack_matches_per_member_loop(seed, size):
     t = correlation_matrix(stack)
     b_max, n_l = chsh_nl(stack)
     conc = concurrence(stack)
-    obs = random_basis(rng, 2)
-    clicks = [measure_select_joint(stack, (2, 2), obs, k) for k in (0, 1)]
-    basis, outcome = random_basis(rng, 4), int(rng.integers(4))
-    selected, p_selected = measure_select(stack, basis, outcome)
-    assert conc.shape == b_max.shape == n_l.shape == p_selected.shape == (size,)
+    assert conc.shape == b_max.shape == n_l.shape == (size,)
     for i, rho in enumerate(stack):
         assert_same_bits(repaired[i], validate_density(rho))
         assert_same_bits(t[i], correlation_matrix(rho))
         assert (b_max[i], n_l[i]) == chsh_nl(rho)
         assert conc[i] == concurrence(rho)
-        for k, (conditional, p) in enumerate(clicks):
-            single_conditional, single_p = measure_select_joint(rho, (2, 2), obs, k)
-            assert_same_bits(conditional[i], single_conditional)
-            assert p[i] == single_p
-        single_selected, single_p_selected = measure_select(rho, basis, outcome)
-        assert_same_bits(selected, single_selected)
-        assert p_selected[i] == single_p_selected
 
 
 @settings(max_examples=30, deadline=None)
@@ -244,15 +230,6 @@ def test_stacked_basis_names_bad_member():
         ReferenceObservable(bases[1])
 
 
-def test_selected_outcome_needs_one_basis():
-    obs = ReferenceObservable(np.array([np.eye(2, dtype=complex)] * 3))
-    message = re.escape("a selected outcome needs one basis, got a stack of shape (3, 2, 2)")
-    with pytest.raises(ValidationError, match=message):
-        measure_select(np.eye(2) / 2, obs, 0)
-    with pytest.raises(ValidationError, match=message):
-        measure_select_joint(np.eye(4) / 4, (2, 2), obs, 0)
-
-
 def test_bound_names_member_that_is_not_full_rank():
     stack = np.array([np.eye(2) / 2, np.diag([1.0, 0.0]), np.eye(2) / 2], dtype=complex)
     obs = ReferenceObservable.computational(2)
@@ -311,11 +288,7 @@ def test_gram_stack_matches_per_member_loop():
 
 def test_single_inputs_return_floats():
     rho = random_two_qubit(np.random.default_rng(1), 4)
-    conditional, p = measure_select_joint(rho, (2, 2), ReferenceObservable.computational(2), 0)
-    selected, p_selected = measure_select(rho, ReferenceObservable.computational(4), 0)
-    assert conditional.shape == (2, 2) and selected.shape == (4, 4)
-    assert all(type(value) is float
-               for value in (*chsh_nl(rho), concurrence(rho), p, p_selected))
+    assert all(type(value) is float for value in (*chsh_nl(rho), concurrence(rho)))
     assert correlation_matrix(rho).shape == (3, 3)
 
 
@@ -358,11 +331,6 @@ def test_two_axis_stack_names_member_by_both_indices():
             "state [1, 2] is not a density matrix: eigenvalues sum to 1.5, "
             "smallest 2.500e-01 (tolerance 1.0e-09)")):
         validate_density(bad)
-    bad = stack.copy()
-    bad[1, 2] = np.diag([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ImpossibleOutcomeError,
-                       match=re.escape("outcome 1 [1, 2] has probability 0.000e+00")):
-        measure_select_joint(bad, (2, 2), ReferenceObservable.computational(2), 1)
 
 
 def test_density_stack_names_bad_trace_and_negative_eigenvalue():
@@ -376,21 +344,6 @@ def test_density_stack_names_bad_trace_and_negative_eigenvalue():
             "state [2] is not a density matrix: eigenvalues sum to 1.0, "
             "smallest -2.500e-01 (tolerance 1.0e-09)")):
         validate_density(stack)
-
-
-def test_impossible_outcome_named_by_index():
-    stack = np.zeros((3, 4, 4), dtype=complex)
-    stack[:, 0, 0] = 1.0        # |00>: never |01>, and the left qubit always reads 0
-    stack[2] = np.eye(4) / 4
-    for select in (
-            lambda rho: measure_select_joint(rho, (2, 2), ReferenceObservable.computational(2), 1),
-            lambda rho: measure_select(rho, ReferenceObservable.computational(4), 1)):
-        with pytest.raises(ImpossibleOutcomeError,
-                           match=re.escape("outcome 1 [0] has probability 0.000e+00")):
-            select(stack)
-        with pytest.raises(ImpossibleOutcomeError,
-                           match=re.escape("outcome 1 has probability 0.000e+00")):
-            select(stack[0])
 
 
 def test_gram_stack_names_bad_member():

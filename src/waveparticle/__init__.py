@@ -29,8 +29,6 @@ from .experiments import (
     wave_detector_run,
 )
 from .measures import (
-    NATURAL_UNITS,
-    ThermalContext,
     demon_work_gap,
     duality,
     information,

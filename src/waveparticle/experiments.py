@@ -240,9 +240,10 @@ def measurement_model(amplitudes, outcome: int | None = None) -> ExperimentRepor
 
     The quanton branch |k> drives an orthonormal pointer state |k>, giving
     the premeasurement state sum_k c_k |k>|k>. The outcome chooses the view.
-    With no outcome (Bob) the joint state stays unread and its marginals are
-    measured. With an outcome k (Alice) the pointer is read: k is seen with
-    probability |c_k|^2 and leaves quanton and pointer both in |k><k|.
+    With no outcome (Bob) the pointer stays unread, and the quanton's marginal
+    of the premeasurement state is diag(c_k conj(c_k)). With an outcome k
+    (Alice) the pointer is read: k is seen with probability |c_k|^2 and
+    leaves quanton and pointer both in |k><k|.
     Either way the post-interaction quanton and pointer are particlelike in
     their own bases, while the input quanton carried wavelike information
     H(|c_k|^2).
@@ -256,8 +257,7 @@ def measurement_model(amplitudes, outcome: int | None = None) -> ExperimentRepor
     pre_wavelike = measures.shannon(probabilities)
     extra: dict[str, float] = {}
     if outcome is None:
-        rho_joint = projector(np.diag(c).reshape(-1))
-        rho_q = partial_trace(rho_joint, (branches, branches), keep=0)
+        rho_q = np.diag(c * c.conj())
     else:
         if not 0 <= outcome < branches:
             raise ValueError(f"outcome index {outcome} out of range for dimension {branches}")

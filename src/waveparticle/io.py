@@ -281,7 +281,6 @@ def _check_modulus(values: np.ndarray, field: str) -> None:
 class LoadedState(NamedTuple):
     dims: tuple[int, ...]
     density: np.ndarray
-    amplitudes: np.ndarray | None
     # a matrix file's repair: the ascending spectrum of density and eigh's
     # eigenvectors it was rebuilt from; None for an amplitude file
     spectrum: tuple[np.ndarray, np.ndarray] | None
@@ -298,7 +297,7 @@ def _state(payload: dict) -> LoadedState:
             amps = validate_pure(amps)
         except ValueError as exc:
             raise StateFormatError("amplitudes", str(exc)) from None
-        return LoadedState(dims, projector(amps), amps, None)
+        return LoadedState(dims, projector(amps), None)
     if "matrix" in payload:
         m = decode_matrix(payload["matrix"], "matrix")
         dims = _read_dims(payload, m.shape[0])
@@ -307,7 +306,7 @@ def _state(payload: dict) -> LoadedState:
             rho, lam, v = _repaired(m)
         except ValueError as exc:
             raise StateFormatError("matrix", str(exc)) from None
-        return LoadedState(dims, rho, None, (lam, v))
+        return LoadedState(dims, rho, (lam, v))
     raise StateFormatError("matrix", "missing matrix or amplitudes")
 
 

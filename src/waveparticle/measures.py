@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,32 +181,20 @@ def particlelike_info(rho, k_obs: ReferenceObservable, q: float = 1.0) -> float:
     return duality(rho, k_obs, q)["particlelike"]
 
 
-@dataclass(frozen=True)
-class ThermalContext:
-    """Bath temperature and Boltzmann constant, positive and finite, for work bookkeeping."""
-
-    temperature: float = 1.0
-    boltzmann_k: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.temperature < np.inf and 0 < self.boltzmann_k < np.inf):
-            raise ValidationError("temperature and boltzmann_k must be positive and finite")
-
-    @classmethod
-    def si(cls, temperature: float) -> "ThermalContext":
-        return cls(temperature=temperature, boltzmann_k=BOLTZMANN_SI)
+def _check_kt(kt: float) -> float:
+    kt = float(kt)
+    if not 0 < kt < math.inf:
+        raise ValidationError(f"kt must be positive and finite, got {kt}")
+    return kt
 
 
-NATURAL_UNITS = ThermalContext()
+def work(rho, kt: float = 1.0) -> float:
+    """Extractable work k_B T I(rho), using the von Neumann information;
+    kt is k_B T, 1 in natural units and BOLTZMANN_SI * T in joules."""
+    return _check_kt(kt) * information(rho, 1.0)
 
 
-def work(rho, ctx: ThermalContext = NATURAL_UNITS) -> float:
-    """Extractable work k_B T I(rho), using the von Neumann information."""
-    return ctx.boltzmann_k * ctx.temperature * information(rho, 1.0)
-
-
-def demon_work_gap(rho, k_obs: ReferenceObservable,
-                   ctx: ThermalContext = NATURAL_UNITS) -> float:
+def demon_work_gap(rho, k_obs: ReferenceObservable, kt: float = 1.0) -> float:
     """Work advantage of the intact state over its secretly measured copy:
     k_B T times the von Neumann wavelike information that dephasing erases."""
-    return ctx.boltzmann_k * ctx.temperature * wavelike_info(rho, k_obs, 1.0)
+    return _check_kt(kt) * wavelike_info(rho, k_obs, 1.0)

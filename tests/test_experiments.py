@@ -682,15 +682,25 @@ class TestMeasurementModel:
             measurement_model(np.array([1.0, 0.0]), outcome=2)
         assert refused.type is ValueError
 
-    def test_bob_premeasurement_matches_the_branch_loop(self):
-        c = np.array([0.5, 0.5j, 1 / np.sqrt(2)])
-        joint = np.zeros(9, dtype=complex)
-        for k in range(3):
-            joint[k * 3 + k] = c[k]
-        report = measurement_model(c)
-        for keep, name in enumerate(("quanton", "pointer")):
-            assert_same_bits(report.states[name].matrix,
-                             partial_trace(projector(joint), (3, 3), keep=keep), name)
+    @pytest.mark.parametrize("branches", range(2, 9))
+    def test_bob_premeasurement_matches_the_branch_loop(self, branches):
+        # Bob's diag(c_k conj(c_k)) has the bits of the premeasurement state
+        # sum_k c_k |k>|k> traced over either factor, for seeded complex
+        # amplitudes and for one with a -0.0 real part
+        rng = np.random.default_rng(branches)
+        cases = rng.normal(size=(30, branches)) + 1j * rng.normal(size=(30, branches))
+        cases = list(cases / np.linalg.norm(cases, axis=-1, keepdims=True))
+        cases += {2: [np.array([complex(-0.0, 0.6), 0.8])],
+                  3: [np.array([0.5, 0.5j, 1 / np.sqrt(2)])]}.get(branches, [])
+        for c in cases:
+            joint = np.zeros(branches * branches, dtype=complex)
+            for k in range(branches):
+                joint[k * branches + k] = c[k]
+            report = measurement_model(c)
+            for keep, name in enumerate(("quanton", "pointer")):
+                assert_same_bits(report.states[name].matrix,
+                                 partial_trace(projector(joint), (branches, branches),
+                                               keep=keep), name)
 
 
 class TestMorphing:

@@ -288,14 +288,14 @@ class TestParticlelike:
 
 class TestThermal:
     def test_room_temperature_bit(self):
-        ctx = measures.ThermalContext.si(300.0)
         rho = projector(basis_state(2, 0))
-        assert measures.work(rho, ctx) == pytest.approx(
+        assert measures.work(rho, measures.BOLTZMANN_SI * 300.0) == pytest.approx(
             ROOM_TEMPERATURE_BIT_WORK, rel=1e-12)
 
-    def test_natural_units_default(self):
+    def test_natural_units_default_is_the_information(self):
         rho = projector(basis_state(2, 0))
         assert measures.work(rho) == pytest.approx(np.log(2), abs=1e-12)
+        assert measures.work(rho) == measures.information(rho, 1.0)
 
     def test_gap_equals_scaled_wavelike_info(self):
         rho = projector(np.array([1, 1j], dtype=complex) / np.sqrt(2))
@@ -303,14 +303,13 @@ class TestThermal:
         gap = measures.demon_work_gap(rho, obs)
         assert gap == pytest.approx(measures.wavelike_info(rho, obs, 1.0), abs=1e-12)
 
-    @pytest.mark.parametrize("ctx", [measures.NATURAL_UNITS, measures.ThermalContext.si(300.0)],
-                             ids=["natural", "si"])
-    def test_gap_is_k_t_times_wavelike_info_bit_for_bit(self, ctx):
+    @pytest.mark.parametrize("kt", [1.0, measures.BOLTZMANN_SI * 300.0], ids=["natural", "si"])
+    def test_gap_is_kt_times_wavelike_info_bit_for_bit(self, kt):
         rng = np.random.default_rng(311)
         stack = np.array([random_density(2, rng) for _ in range(8)])
         obs = ReferenceObservable.computational(2)
-        gap = measures.demon_work_gap(stack, obs, ctx)
-        expected = ctx.boltzmann_k * ctx.temperature * measures.wavelike_info(stack, obs, 1.0)
+        gap = measures.demon_work_gap(stack, obs, kt)
+        expected = kt * measures.wavelike_info(stack, obs, 1.0)
         assert gap.shape == (8,)
         assert gap.tobytes() == expected.tobytes()
 
@@ -319,15 +318,15 @@ class TestThermal:
         obs = ReferenceObservable.computational(2)
         assert measures.demon_work_gap(rho, obs) == pytest.approx(0.0, abs=1e-15)
 
-    def test_context_validation(self):
-        with pytest.raises(ValidationError):
-            measures.ThermalContext(temperature=-1.0)
-
-    @pytest.mark.parametrize("field", ["temperature", "boltzmann_k"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_context_rejects_non_finite(self, field, value):
-        with pytest.raises(ValidationError, match="finite"):
-            measures.ThermalContext(**{field: value})
+    @pytest.mark.parametrize("kt,shown", [(0, "0.0"), (-1, "-1.0"), (np.nan, "nan"),
+                                          (np.inf, "inf")])
+    def test_kt_must_be_positive_and_finite(self, kt, shown):
+        rho = projector(basis_state(2, 0))
+        message = f"^kt must be positive and finite, got {shown}$"
+        with pytest.raises(ValidationError, match=message):
+            measures.work(rho, kt)
+        with pytest.raises(ValidationError, match=message):
+            measures.demon_work_gap(rho, ReferenceObservable.computational(2), kt)
 
 
 @pytest.mark.parametrize("measure", [

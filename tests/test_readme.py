@@ -16,7 +16,7 @@ SRC = Path(waveparticle.__file__).resolve().parent
 LIBRARY_LAYERS = (states, channels, measures, nonlocality, experiments)
 PUBLIC_NAMES = {
     "BEAM_SPLITTER", "CheckResult", "ExperimentReport", "ImpossibleOutcomeError",
-    "NATURAL_UNITS", "ReferenceObservable", "ReportState", "ThermalContext", "ValidationError",
+    "ReferenceObservable", "ReportState", "ValidationError",
     "balanced_path_state", "basis_state", "chsh_bruteforce", "chsh_nl", "concurrence",
     "correlation_matrix", "dce_analyze", "demon_work_gap", "dephase", "duality",
     "hermitian_part", "hs_norm_sq", "information", "max_entropy", "measurement_model",
@@ -60,7 +60,7 @@ def test_library_layer_is_re_exported(module):
 
 def test_public_surface_is_the_imported_objects():
     # no module the imports bind, and no helper the derivation of __all__ imports
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 40
     assert len(waveparticle.__all__) == len(set(waveparticle.__all__))
     assert set(waveparticle.__all__) == PUBLIC_NAMES
     namespace = {}
@@ -68,16 +68,43 @@ def test_public_surface_is_the_imported_objects():
     assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
 
 
+def _modules(skip=()) -> list:
+    """The parsed source of every module of the package not named in skip."""
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
+            if path.name not in skip]
+
+
+def _loaded_attributes(modules) -> set:
+    return {node.attr for module in modules for node in ast.walk(module)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_name_is_used_or_is_a_paper_quantity():
     # a name counts as used where any layer module loads it, bare or as an attribute
-    loaded = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+    modules = _modules(skip=("__init__.py",))
+    loaded = _loaded_attributes(modules) | {
+        node.id for module in modules for node in ast.walk(module)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert PAPER_QUANTITIES.keys() <= set(waveparticle.__all__)
     assert set(waveparticle.__all__) - loaded - PAPER_QUANTITIES.keys() == set()
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A NamedTuple subclass, or a class decorated with @dataclass or @dataclass(...)."""
+    bases = {getattr(base, "id", None) for base in node.bases}
+    decorators = {getattr(getattr(d, "func", d), "id", None) for d in node.decorator_list}
+    return "NamedTuple" in bases or "dataclass" in decorators
+
+
+def test_every_record_field_is_read():
+    # a field counts as read where any module loads an attribute of its name;
+    # a value the package only stores is not kept
+    modules = _modules()
+    fields = {f"{node.name}.{line.target.id}": line.target.id
+              for module in modules for node in ast.walk(module)
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for line in node.body
+              if isinstance(line, ast.AnnAssign) and isinstance(line.target, ast.Name)}
+    assert {"LoadedState.spectrum", "ReportState.matrix", "CheckResult.detail"} <= fields.keys()
+    loaded = _loaded_attributes(modules)
+    assert {field for field, attr in fields.items() if attr not in loaded} == set()

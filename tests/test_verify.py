@@ -24,6 +24,20 @@ def shift(amount):
     return lambda value: value + amount
 
 
+def test_check_01_reads_the_last_member(monkeypatch):
+    wavelike_info, shapes = measures.wavelike_info, []
+
+    def mutated(rho, k_obs, q=1.0):
+        shapes.append(np.shape(rho))
+        return with_last(wavelike_info(rho, k_obs, q), shift(1e-8))
+
+    monkeypatch.setattr(measures, "wavelike_info", mutated)
+    result = verify.check_balanced_state_wavelike()
+    assert shapes == [(13, 2, 2)]
+    assert not result.passed
+    assert result.residual == pytest.approx(1e-8, rel=1e-3)
+
+
 @pytest.mark.parametrize("key,check,residual", [
     ("concurrence_click_1", verify.check_wave_detector_entanglement, 1e-8),
     ("nonlocality_click_0", verify.check_wave_detector_entanglement, 1e-8),

@@ -9,10 +9,8 @@ import numpy as np
 
 from . import measures
 from .channels import ReferenceObservable, reduced_from_informer
-from .nonlocality import _two_qubit_measures
 from .states import (
     ValidationError,
-    _certified_spectrum,
     _clamp,
     _reject_first,
     _unstack,
@@ -199,13 +197,19 @@ def wave_detector_run(x, amplitudes) -> ExperimentReport:
     concurrence and CHSH violation quantify how wavelike the input was. The
     identity n_l = 2 * wavelike_q2(input) is reported as a residual. Click k
     is the fixed 4x2 Kraus operator _CLICKS[k] from the quanton to the
-    register, so one product gives both clicks' states. _CLICKS[1] =
+    register, so one product gives both clicks' states. Their |00> and |11>
+    rows are exactly zero, so click 0's state lives on span{|01>, |10>} and
+    its measures are closed forms in its one coherence r = rho[1, 2]:
+    concurrence 2|r| (Wootters), CHSH value 2 sqrt(1 + 4|r|^2) (Horodecki:
+    T^T T has eigenvalues {1, 4|r|^2, 4|r|^2}, and 4|r|^2 <= 1) and
+    nonlocality 4|r|^2. They agree with the general eigh and svd solve of
+    the measures command within 2e-15. The clicks need no spectrum check:
+    duality certifies rho_q first, and sum_k K_k^H K_k = 1. _CLICKS[1] =
     (S x S^H) _CLICKS[0] with S = diag(1, i), so click 1's state is a local
-    unitary image of click 0's: one certified spectral pass measures click 0,
-    and click 1 gets the same CHSH value, nonlocality and concurrence. An
-    array of mixing weights runs the whole grid as one stack, giving arrays
-    of scalars and stacks of states; the first weight outside [0, 1] is
-    named.
+    unitary image of click 0's and gets the same CHSH value, nonlocality and
+    concurrence. An array of mixing weights runs the whole grid as one stack,
+    giving arrays of scalars and stacks of states; the first weight outside
+    [0, 1] is named.
     """
     x = _checked_range(x, "mixing weight x")[..., None, None]
     rho_q = ((1.0 - x) * np.eye(2, dtype=complex) / 2.0
@@ -215,9 +219,12 @@ def wave_detector_run(x, amplitudes) -> ExperimentReport:
     # p_k = Tr rho_q / 2 for every valid input, so neither click is impossible
     p = np.trace(clicked, axis1=-2, axis2=-1).real
     clicked = clicked / p[..., None, None]
-    conditional, w, v = _certified_spectrum(clicked[..., 0, :, :],
-                                            name="two-qubit state", vectors=True)
-    b_max, n_l, c = _two_qubit_measures(conditional, w, v)
+    conditional = hermitian_part(clicked[..., 0, :, :], name="two-qubit state")
+    # T = [[2 Re r, 2 Im r, 0], [-2 Im r, 2 Re r, 0], [0, 0, -1]] for the
+    # coherence r = rho[1, 2]; the concurrence c = 2|r| is at most 1
+    c = 2.0 * np.abs(conditional[..., 1, 2])
+    n_l = c * c
+    b_max, n_l, c = (_unstack(v) for v in (2.0 * np.sqrt(1.0 + n_l), n_l, c))
     scalars = {}
     for k in (0, 1):
         scalars.update({f"p_click_{k}": _unstack(np.minimum(p[..., k], 1.0)),

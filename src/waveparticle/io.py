@@ -463,7 +463,8 @@ def write_csv(path: str, header: list[str], tables) -> None:
 
     The tables go to a temporary file next to path, which replaces path only
     once every table is written. If writing or producing a table fails, the
-    temporary file is removed, and path is neither created nor changed.
+    temporary file is removed, and path is neither created nor changed. An
+    OSError on the temporary file names path.
     """
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
@@ -476,7 +477,9 @@ def write_csv(path: str, header: list[str], tables) -> None:
                 for start in range(0, len(table), _CSV_ROWS_PER_WRITE):
                     fh.write(_format_rows(table[start:start + _CSV_ROWS_PER_WRITE]))
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

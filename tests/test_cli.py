@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -620,6 +621,15 @@ class TestSweep:
                                "--out", "/no/such/dir/out.csv")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_missing_directory_names_the_out_path(self, capsys, tmp_path):
+        # the temporary file next to it, with the process id, stays unnamed
+        out = str(tmp_path / "no" / "x.csv")
+        code, _, err = run_cli(capsys, "sweep", "wave-detector", "--param", "x",
+                               "--start", "0", "--stop", "1", "--steps", "3", "--out", out)
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+        assert ".tmp" not in err and str(os.getpid()) not in err
 
 
 class TestVerify:

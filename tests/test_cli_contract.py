@@ -20,8 +20,8 @@ CASES = {
     # 1030 steps cross the 1024-point block boundary
     "sweep-dce": ["sweep", "dce", "--param", "phi", "--start", "0", "--stop", "7",
                   "--steps", "1030", "--bs2-alpha", "0.6", "--q", "1.5"],
-    # click 0's certified spectrum gives CHSH and concurrence, and click 1 takes
-    # them through the local unitary S x S^H
+    # CHSH and concurrence in closed form from click 0's coherence, and click 1
+    # takes them through the local unitary S x S^H
     "sweep-wave-detector": ["sweep", "wave-detector", "--param", "x", "--start", "0",
                             "--stop", "1", "--steps", "1030", "--amp-alpha-re", "0.6",
                             "--amp-beta-im", "0.8"],

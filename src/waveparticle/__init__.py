@@ -25,7 +25,6 @@ from .experiments import (
     morphing_scan,
     mzi_run,
     path_basis,
-    phase_shifter,
     wave_detector_run,
 )
 from .measures import (
@@ -50,7 +49,6 @@ from .states import (
     ValidationError,
     basis_state,
     hermitian_part,
-    hs_norm_sq,
     partial_trace,
     projector,
     validate_density,

@@ -50,7 +50,7 @@ def _run(args) -> ExperimentReport:
     that order is not one the scenario already reports."""
     scenario = SCENARIOS[args.name]
     report = scenario.run(args)
-    if args.q not in (None, 1.0, 2.0):
+    if args.q not in (1.0, 2.0):
         rho = report.states[scenario.principal_state].matrix
         split = measures.duality(rho, ReferenceObservable.computational(rho.shape[-1]), args.q)
         report.scalars["q"] = float(args.q)
@@ -66,7 +66,7 @@ def cmd_measures(args) -> int:
         obs = ReferenceObservable.computational(dim)
     else:
         obs = io.load_observable(args.basis, dim)
-    q = 1.0 if args.q is None else measures._check_q(args.q)
+    q = measures._check_q(args.q)
     two_qubit = tuple(loaded.dims) == (2, 2)
     # one spectrum of the state, shared by the split, CHSH and concurrence: a
     # matrix file's comes from its repair, an amplitude file's is solved here
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     if _parser is not None:
         return _parser
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=float, default=None,
+    common.add_argument("--q", type=float, default=1.0,
                         help="entropy order (default 1)")
 
     flags = argparse.ArgumentParser(add_help=False)

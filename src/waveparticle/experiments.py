@@ -11,11 +11,9 @@ from . import measures
 from .channels import ReferenceObservable, reduced_from_informer
 from .states import (
     ValidationError,
-    _clamp,
     _reject_first,
     _unstack,
     hermitian_part,
-    hs_norm_sq,
     partial_trace,
     projector,
     validate_pure,
@@ -42,23 +40,16 @@ for _constant in (_CLICKS, _CLICKS_H):
     _constant.setflags(write=False)
 
 
-def phase_shifter(phi) -> np.ndarray:
-    """Phase plate acting on arm 1 only; an array of phases gives a stack."""
-    phi = np.asarray(phi, dtype=float)
-    plate = np.zeros((*phi.shape, 2, 2), dtype=complex)
-    plate[..., 0, 0] = 1.0
-    plate[..., 1, 1] = np.exp(1.0j * phi)
-    return plate
-
-
 def path_basis(dim: int = 2) -> ReferenceObservable:
     """Which-path reference observable (computational basis)."""
     return ReferenceObservable.computational(dim)
 
 
-def balanced_path_state(phi: float) -> np.ndarray:
-    """State inside the interferometer: (|0> + i e^{i phi} |1>) / sqrt(2)."""
-    return np.array([1.0, 1.0j * np.exp(1.0j * phi)], dtype=complex) / np.sqrt(2.0)
+def balanced_path_state(phi) -> np.ndarray:
+    """State inside the interferometer, (|0> + i e^{i phi} |1>) / sqrt(2), after
+    the phase plate on arm 1; an array of phases gives a stack (..., 2)."""
+    phase = np.exp(1.0j * np.asarray(phi, dtype=float))
+    return np.stack([np.ones_like(phase), 1.0j * phase], axis=-1) / np.sqrt(2.0)
 
 
 def _checked_phase(phi) -> np.ndarray:
@@ -126,7 +117,7 @@ def mzi_run(phi, bs2: str = "present") -> ExperimentReport:
     """
     if bs2 not in ("present", "absent"):
         raise ValidationError(f"unknown bs2 mode {bs2!r}")
-    mid = phase_shifter(_checked_phase(phi)) @ BEAM_SPLITTER[:, 0]
+    mid = balanced_path_state(_checked_phase(phi))
     pre_detector = (BEAM_SPLITTER @ mid[..., None])[..., 0] if bs2 == "present" else mid
     rho_mid = projector(mid)
     rho_pre = projector(pre_detector)
@@ -154,17 +145,16 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
     and that state after the splitter on control |1>, weighted by the
     control's amplitudes. The control is traced out, and the wave/particle
     measures of the remaining quanton state are reported together with the
-    entanglement of the pair.
+    entanglement of the pair, the split's q = 1 and linear (q = 2) entropies.
 
     Either argument may be an array of grid values, broadcast against the
     other; the scalars are then arrays over the grid and the states stacks
     (..., d, d). A failed check names the first offending grid value, or the
     index of the first offending state.
     """
-    phase = _checked_phase(phi)
+    inside = balanced_path_state(_checked_phase(phi))
     alpha = _checked_range(bs2_alpha, "bs2_alpha", "[0, pi/2]", np.pi / 2.0 + 1e-12)
     control = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1).astype(complex)
-    inside = phase_shifter(phase) @ BEAM_SPLITTER[:, 0]
     branches = inside[..., :, None] * control[..., None, :]   # (..., path, control)
     branches[..., :, 1:] = BEAM_SPLITTER @ branches[..., :, 1:]
     joint = branches.reshape(*branches.shape[:-2], 4)
@@ -175,7 +165,7 @@ def dce_analyze(bs2_alpha, phi) -> ExperimentReport:
         "p_detector_0": _unstack(rho_q[..., 0, 0].real),
         "p_detector_1": _unstack(rho_q[..., 1, 1].real),
         **_dual_measures(dual_split),
-        "entanglement_linear": _unstack(_clamp(1.0 - hs_norm_sq(rho_q))),
+        "entanglement_linear": _unstack(dual_split["entropy"][1]),
         "entanglement_entropy": _unstack(dual_split["entropy"][0]),
     }
     states = {

@@ -314,9 +314,17 @@ def parse_state(text: str, source: str = "state") -> LoadedState:
     return _decoded(text, source, _state)
 
 
+def _read(path: str) -> str:
+    """A state or basis file's text; one that is not UTF-8 is malformed JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise StateFormatError("json", f"{path}: {exc}") from None
+
+
 def load_state(path: str) -> LoadedState:
-    with open(path, encoding="utf-8") as fh:
-        return parse_state(fh.read(), path)
+    return parse_state(_read(path), path)
 
 
 def _observable(payload: dict, state_dim: int | None) -> ReferenceObservable:
@@ -346,8 +354,7 @@ def parse_observable(text: str, source: str = "basis",
 
 
 def load_observable(path: str, state_dim: int | None = None) -> ReferenceObservable:
-    with open(path, encoding="utf-8") as fh:
-        return parse_observable(fh.read(), path, state_dim)
+    return parse_observable(_read(path), path, state_dim)
 
 
 def report_payload(report: ExperimentReport) -> dict:

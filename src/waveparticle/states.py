@@ -144,16 +144,6 @@ def _certified_spectrum(m, *, name: str = "state", vectors: bool = False):
     return h, _check_spectrum(w), v
 
 
-def hs_norm_sq(m):
-    """Squared Hilbert-Schmidt norm: sum of squared entry moduli, Tr(M^H M).
-
-    A float for one matrix, an array for a stack (..., d, d).
-    """
-    m = np.asarray(m, dtype=complex)
-    _require_square(m)
-    return _unstack(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
-
-
 def validate_pure(psi) -> np.ndarray:
     """Check normalization of an amplitude vector and return it as complex."""
     psi = np.asarray(psi, dtype=complex)

@@ -120,8 +120,8 @@ def _conditional_states(xs: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def check_balanced_state_wavelike() -> CheckResult:
-    states = [balanced_path_state(phi) for phi in np.arange(13) * (np.pi / 6.0)]
-    iw = measures.wavelike_info(projector(np.array(states)), path_basis(2), 1.0)
+    states = balanced_path_state(np.arange(13) * (np.pi / 6.0))
+    iw = measures.wavelike_info(projector(states), path_basis(2), 1.0)
     residual = float(np.max(np.abs(iw - np.log(2.0))))
     return CheckResult("01_balanced_state_wavelike_ln2", residual < 1e-12,
                        residual, 1e-12, "13 phases, inside the interferometer")

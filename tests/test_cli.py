@@ -309,6 +309,19 @@ class TestMeasures:
         assert (code, out) == (2, "")
         assert err == f"error: field 'json': {bad}: arrays or objects nested too deeply\n"
 
+    @pytest.mark.parametrize("role", ["state", "basis"])
+    def test_file_that_is_not_utf8_rejected(self, capsys, tmp_path, balanced_state, role):
+        # named like any malformed JSON: the field, the file and the decoder's reason
+        bad = tmp_path / "bad.json"
+        text = '{"dim": 2}' if role == "basis" else '{"dims": [2], "amplitudes": [[1, 0]]}'
+        bad.write_bytes(text.encode() + b"\xff")
+        argv = ["measures", str(bad)] if role == "state" else [
+            "measures", balanced_state, "--basis", str(bad)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        reason = f"'utf-8' codec can't decode byte 0xff in position {len(text)}: invalid start byte"
+        assert err == f"error: field 'json': {bad}: {reason}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "measures", "/no/such/file.json")
         assert code == 2

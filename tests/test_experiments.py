@@ -14,7 +14,7 @@ from waveparticle.experiments import (
     measurement_model,
     morphing_scan,
     mzi_run,
-    phase_shifter,
+    path_basis,
     wave_detector_run,
 )
 from waveparticle.measures import duality, tsallis_entropy
@@ -22,7 +22,6 @@ from waveparticle.states import (
     ValidationError,
     basis_state,
     hermitian_part,
-    hs_norm_sq,
     partial_trace,
     projector,
 )
@@ -34,6 +33,11 @@ EYE2 = np.eye(2, dtype=complex)
 
 def ket01(i, j):
     return np.kron(basis_state(2, i), basis_state(2, j))
+
+
+def phase_plate(phi):
+    """The phase plate on arm 1: diag(1, e^{i phi})."""
+    return np.diag([1, np.exp(1j * phi)])
 
 
 def recombined_state(phi):
@@ -140,7 +144,7 @@ def reference_dce(alpha, phi):
                   + np.kron(BEAM_SPLITTER, projector(basis_state(2, 1))))
     control = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
     start = np.kron(basis_state(2, 0), control)
-    inside = np.kron(phase_shifter(phi % (2 * np.pi)) @ BEAM_SPLITTER, EYE2)
+    inside = np.kron(phase_plate(phi % (2 * np.pi)) @ BEAM_SPLITTER, EYE2)
     joint = (controlled @ (inside @ start[:, None]))[:, 0]
     rho_joint = projector(joint)
     rho_q = partial_trace(rho_joint, (2, 2), keep=0)
@@ -149,7 +153,7 @@ def reference_dce(alpha, phi):
     for i in (0, 1):
         for key in ("wavelike", "particlelike"):
             scalars[f"{key}_q{i + 1}"] = split[key][i]
-    scalars["entanglement_linear"] = max(0.0, 1.0 - hs_norm_sq(rho_q))
+    scalars["entanglement_linear"] = split["entropy"][1]
     scalars["entanglement_entropy"] = split["entropy"][0]
     return scalars, {"joint": rho_joint, "quanton": rho_q}
 
@@ -161,12 +165,12 @@ class TestConventions:
 
     def test_first_splitter_output(self):
         for phi in PHI_GRID:
-            out = phase_shifter(phi) @ BEAM_SPLITTER @ basis_state(2, 0)
+            out = phase_plate(phi) @ BEAM_SPLITTER @ basis_state(2, 0)
             np.testing.assert_allclose(out, balanced_path_state(phi), atol=1e-15)
 
     def test_full_interferometer_matches_up_to_phase(self):
         for phi in PHI_GRID:
-            out = BEAM_SPLITTER @ phase_shifter(phi) @ BEAM_SPLITTER @ basis_state(2, 0)
+            out = BEAM_SPLITTER @ phase_plate(phi) @ BEAM_SPLITTER @ basis_state(2, 0)
             overlap = abs(np.vdot(recombined_state(phi), out))
             assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -326,6 +330,13 @@ class TestDelayedChoice:
             for name, state in single.states.items():
                 assert report.states[name].dims == state.dims
                 assert report.states[name].matrix[i].tobytes() == state.matrix.tobytes()
+
+    def test_linear_entropy_is_the_q2_entropy_of_the_quanton(self):
+        # 1 - Tr rho^2 is read off the split's q = 2 entropy, bit for bit
+        report = dce_analyze(np.linspace(0.0, np.pi / 2, 7)[:, None],
+                             np.linspace(-1.0, 8.0, 31))
+        expected = duality(report.states["quanton"].matrix, path_basis(2), 2.0)["entropy"]
+        assert_same_bits(report.scalars["entanglement_linear"], expected, "linear")
 
     def test_grid_call_solves_the_quanton_stack_once(self, monkeypatch):
         # the entanglement entropy is the q = 1 entropy of the wave/particle split

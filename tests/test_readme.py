@@ -19,9 +19,9 @@ PUBLIC_NAMES = {
     "ReferenceObservable", "ReportState", "ValidationError",
     "balanced_path_state", "basis_state", "chsh_bruteforce", "chsh_nl", "concurrence",
     "correlation_matrix", "dce_analyze", "demon_work_gap", "dephase", "duality",
-    "hermitian_part", "hs_norm_sq", "information", "max_entropy", "measurement_model",
+    "hermitian_part", "information", "max_entropy", "measurement_model",
     "morphing_scan", "mzi_run", "particlelike_info", "partial_trace", "path_basis",
-    "phase_shifter", "populations", "projector", "reduced_from_informer", "run_checks",
+    "populations", "projector", "reduced_from_informer", "run_checks",
     "shannon", "tsallis_entropy", "validate_density", "validate_pure", "wave_detector_run",
     "wavelike_info", "wavelike_upper_bound", "work",
 }
@@ -60,7 +60,7 @@ def test_library_layer_is_re_exported(module):
 
 def test_public_surface_is_the_imported_objects():
     # no module the imports bind, and no helper the derivation of __all__ imports
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 38
     assert len(waveparticle.__all__) == len(set(waveparticle.__all__))
     assert set(waveparticle.__all__) == PUBLIC_NAMES
     namespace = {}

@@ -15,7 +15,12 @@ from waveparticle.channels import (
     populations,
     reduced_from_informer,
 )
-from waveparticle.experiments import morphing_scan, mzi_run, wave_detector_run
+from waveparticle.experiments import (
+    balanced_path_state,
+    morphing_scan,
+    mzi_run,
+    wave_detector_run,
+)
 from waveparticle.nonlocality import (
     chsh_bruteforce,
     chsh_nl,
@@ -274,6 +279,17 @@ def test_grid_runs_match_single_point_runs(seed, size):
         grid = mzi_run(phis, bs2)
         for i, phi in enumerate(phis):
             assert_report_member(grid, i, mzi_run(float(phi), bs2))
+
+
+def test_balanced_path_state_stack_matches_scalar_calls():
+    # signed zeros, a tiny and a huge phase, and seeded draws, in a 2-d grid too
+    phases = np.concatenate([[0.0, -0.0, np.pi, 1e-300, 1e300],
+                             np.random.default_rng(2718).uniform(-20.0, 20.0, 40)])
+    stack = balanced_path_state(phases)
+    assert stack.shape == (phases.size, 2)
+    for phi, member in zip(phases, stack):
+        assert_same_bits(member, balanced_path_state(float(phi)))
+    assert_same_bits(balanced_path_state(phases.reshape(5, 9)), stack.reshape(5, 9, 2))
 
 
 def test_gram_stack_matches_per_member_loop():

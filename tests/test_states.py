@@ -11,7 +11,6 @@ from waveparticle.states import (
     _repaired,
     basis_state,
     hermitian_part,
-    hs_norm_sq,
     partial_trace,
     projector,
     validate_density,
@@ -84,11 +83,6 @@ def test_partial_trace_rejects_bad_axis():
     rho = np.eye(4) / 4
     with pytest.raises(ValueError):
         partial_trace(rho, (2, 2), keep=2)
-
-
-def test_hs_norm_sq():
-    rho = np.eye(2) / 2
-    assert hs_norm_sq(rho) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_validate_pure():
